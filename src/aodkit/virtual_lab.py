@@ -40,10 +40,10 @@ class RabiDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if self.peak_rabi < 0.0:
-            raise ValidationError("peak_rabi must be >= 0")
-        if self.duration < 0.0:
-            raise ValidationError("duration must be >= 0")
+        if not (self.peak_rabi >= 0.0 and math.isfinite(self.peak_rabi)):
+            raise ValidationError("peak_rabi must be finite and >= 0")
+        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
+            raise ValidationError("duration must be finite and >= 0")
         if not math.isfinite(self.detuning):
             raise ValidationError("detuning must be finite")
 

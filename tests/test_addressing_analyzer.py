@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from aodkit import addressing_analyzer as aa
+from aodkit import beam_optics as bo
+from aodkit import virtual_lab as vl
 from aodkit.errors import ValidationError
 
 # exp(-2 d^2 / w^2) and exp(-d^2 / w^2) at w = 1.5 um, d = 3.8 um
 IDEAL_XTALK_INTENSITY = 2.6643363505138902e-06
 IDEAL_XTALK_AMPLITUDE = 0.0016322794952194585
-# hard-aperture sweep values, frozen from the wave-optics pipeline
+# hard-aperture sweep values, frozen from the closed form (the limit the
+# sampled wave-optics route converges to)
 CLIPPED = {
-    0.6: 0.01079973094493289,
-    1.0: 0.008548688848080794,
-    1.5: 0.00025224144405671154,
-    2.0: 2.759496013820985e-06,
-    3.0: 2.721153490775028e-06,
+    0.6: 0.01075617975706281,
+    1.0: 0.008538899564742145,
+    1.5: 0.00025157169854614,
+    2.0: 2.772353297471764e-06,
+    3.0: 2.721447835294309e-06,
 }
 IMBALANCE_1DEG = 0.04631987469477239
 
@@ -34,6 +37,21 @@ def test_amplitude_is_sqrt_of_intensity():
         d = rng.uniform(0.0, 10e-6)
         amp = aa.relative_rate(w, d, mode="amplitude")
         assert amp**2 == pytest.approx(aa.relative_rate(w, d), rel=1e-12)
+
+
+def _grid_crosstalk(chain, ion_plane_waist, ratio, count,
+                    collimated_waist=1.5e-3, wavelength=355e-9, focal_length=0.1):
+    """Sampled wave-optics route: clip the collimated beam on a ``count``-point
+    grid and Fourier-sum it at the demagnified ion offsets."""
+    profile = bo.gaussian_profile(wavelength, collimated_waist, count,
+                                  max(6.0, 1.5 * ratio) * collimated_waist)
+    clipped = bo.diffract(profile, bo.Aperture(half_width=ratio * collimated_waist))
+    demag = bo.focused_waist(wavelength, focal_length, collimated_waist) / ion_plane_waist
+    pos = chain.array
+    probes = np.append((pos[:, None] - pos[None, :]).ravel() * demag, 0.0)
+    amps = bo.focused_field_at(clipped, focal_length, probes)
+    rel = np.abs(amps[:-1]) / abs(amps[-1])
+    return (rel**2).reshape(len(pos), len(pos))
 
 
 def test_relative_rate_validation():
@@ -93,10 +111,39 @@ def test_clipped_crosstalk_recovers_ideal_for_open_aperture():
     assert open_ap.worst_offdiagonal() == pytest.approx(IDEAL_XTALK_INTENSITY, rel=0.03)
 
 
-def test_clipped_crosstalk_grid_validation():
-    chain = aa.IonChain.uniform(3, 3.8e-6)
+@pytest.mark.parametrize("ratio", [0.6, 1.2, 1.5, 3.0])
+def test_clipped_crosstalk_grid_converges_to_closed_form(ratio):
+    chain = aa.IonChain.uniform(5, 3.8e-6)
+    exact = aa.clipped_crosstalk(chain, 1.5e-6, ratio).values
+    off = ~np.eye(len(chain), dtype=bool)
+    gaps = [np.abs(_grid_crosstalk(chain, 1.5e-6, ratio, 2**k) - exact)[off].max()
+            for k in (13, 15, 17)]
+    # the sampled sum approaches the closed form as 1/n: each 4x grid step
+    # must shrink the gap by at least 3x
+    assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2], gaps
+
+
+@pytest.mark.parametrize("ratio", [0.6, 3.0])
+@pytest.mark.parametrize("mode", aa.COUPLING_MODES)
+def test_clipped_crosstalk_stable_at_large_offsets(ratio, mode):
+    # offsets up to ~1000 waists, where the complex erf form overflows
+    chain = aa.IonChain.uniform(200, 5e-6)
+    v = aa.clipped_crosstalk(chain, 1e-6, ratio, mode=mode).values
+    assert np.isfinite(v).all()
+    assert (v >= 0.0).all() and (v <= 1.0 + 1e-12).all()
+    assert np.abs(np.diag(v) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: aa.clipped_crosstalk(aa.IonChain.uniform(3, 3.8e-6), 1.5e-6, math.nan),
+    lambda: aa.clipped_crosstalk(aa.IonChain.uniform(3, 3.8e-6), math.inf, 1.0),
+    lambda: aa.relative_rate(math.nan, 1e-6),
+    lambda: aa.IonChain((math.nan,)),
+    lambda: vl.RabiDrive(math.nan, 1.0),
+], ids=["clipping_ratio", "ion_plane_waist", "waist", "ion_position", "peak_rabi"])
+def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
-        aa.clipped_crosstalk(chain, 1.5e-6, 1.0, grid_count=3000)
+        build()
 
 
 def test_misalignment_imbalance_frozen():

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from aodkit.cli import OUTPUT_ENV_VAR, main
+from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main
+from aodkit.cli.commands import HANDLERS
 
-CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "paper_system.yaml")
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = str(ROOT / "configs" / "paper_system.yaml")
 
 MINIMAL_PRISM_CONFIG = """\
 seed: 7
@@ -65,6 +68,19 @@ def test_design_prism_with_target_override(tmp_path):
     res = _read_report(tmp_path, "design_prism")["results"]
     assert res["solved_alpha_prime_deg"] == pytest.approx(14.730809731408954, abs=1e-6)
     assert res["achieved_expansion"] == pytest.approx(4.7, rel=1e-6)
+
+
+def test_readme_command_block_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("aodkit ")]
+    parser = build_parser()
+    listed = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        listed.add(args.command if args.command != "lab" else f"lab {args.lab_command}")
+    assert len(lines) == len(listed)
+    assert listed == set(HANDLERS)
 
 
 def test_outdir_flag_beats_environment(tmp_path, monkeypatch):
