@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf, wofz
 
 from .errors import ValidationError
 
@@ -139,6 +138,8 @@ def clipped_crosstalk(chain, ion_plane_waist, clipping_ratio, *,
     this form stays finite at any offset because |w| <= 1 in the upper
     half plane.  Intensity mode gives A^2, amplitude mode |A|.
     """
+    from scipy.special import erf, wofz
+
     _check_mode(mode)
     for name, value in (("clipping_ratio", clipping_ratio), ("ion_plane_waist", ion_plane_waist),
                         ("collimated_waist", collimated_waist), ("wavelength", wavelength)):

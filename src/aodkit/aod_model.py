@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from . import beam_optics
 from .errors import OutOfBandWarning, TrainStructureError, ValidationError
@@ -168,6 +167,8 @@ def transit_ramp(spec, t, model="field_overlap"):
     tau = spec.crystal_waist / spec.acoustic_velocity  # beam-radius transit time
     t = np.asarray(t, dtype=float)
     if model == "field_overlap":
+        from scipy.special import erf
+
         a = 0.5 * (1.0 + erf((t - ts) / tau))
     elif model == "linear":
         a = np.clip(t / (2.0 * ts), 0.0, 1.0)
@@ -188,6 +189,8 @@ def ramp_area(spec, duration, model="field_overlap"):
     if np.any(d < 0.0):
         raise ValidationError("duration must be >= 0")
     if model == "field_overlap":
+        from scipy.special import erf
+
         def antideriv(t):
             u = (t - ts) / tau
             return 0.5 * t + 0.5 * tau * (u * erf(u) + np.exp(-u**2) / math.sqrt(math.pi))
@@ -201,6 +204,8 @@ def ramp_area(spec, duration, model="field_overlap"):
 
 def rise_time_10_90(spec):
     """10 % to 90 % amplitude rise time of the field-overlap ramp."""
+    from scipy.special import erfinv
+
     tau = spec.crystal_waist / spec.acoustic_velocity
     return 2.0 * float(erfinv(0.8)) * tau
 

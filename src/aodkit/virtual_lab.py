@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import aod_model
 from .addressing_analyzer import relative_rate
@@ -102,7 +101,9 @@ class ScanTrace:
         v = np.asarray(self.values, dtype=float)
         if x.ndim != 1 or x.shape != v.shape:
             raise ValidationError("x and values must be matching 1-D arrays")
-        if np.any((v < 0.0) | (v > 1.0)):
+        if not np.isfinite(x).all():
+            raise ValidationError("trace x must be finite")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
             raise ValidationError("trace values must lie in [0, 1]")
         if self.shots is not None and self.shots < 1:
             raise ValidationError("shots must be >= 1 or None")
@@ -134,11 +135,29 @@ def _check_grid(name, x, allow_negative=False):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError(f"{name} must hold at least two points")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
     if not np.all(np.diff(arr) > 0.0):
         raise ValidationError(f"{name} must be strictly increasing")
     if not allow_negative and arr[0] < 0.0:
         raise ValidationError(f"{name} must be non-negative")
     return arr
+
+
+def _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency):
+    """Validate the beam and sweep of a frequency scan; returns the grid."""
+    if not (ion_waist > 0.0 and math.isfinite(ion_waist)):
+        raise ValidationError("ion_waist must be positive and finite")
+    if not (steering_efficiency != 0.0 and math.isfinite(steering_efficiency)):
+        raise ValidationError("steering_efficiency must be nonzero and finite")
+    if not math.isfinite(center_frequency):
+        raise ValidationError("center_frequency must be finite")
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 1 or freqs.size < 4:
+        raise ValidationError("frequencies must hold at least four points")
+    if not np.isfinite(freqs).all():
+        raise ValidationError("frequencies must be finite")
+    return freqs
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +174,7 @@ def simulate_profile_scan(ion_waist, steering_efficiency, drive, frequencies,
     from the ion; the local Rabi rate follows :func:`relative_rate`, and
     each point reports P1 after driving for ``drive.duration``.
     """
-    if ion_waist <= 0.0:
-        raise ValidationError("ion_waist must be positive")
-    if steering_efficiency == 0.0:
-        raise ValidationError("steering_efficiency must be nonzero")
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 4:
-        raise ValidationError("frequencies must hold at least four points")
+    freqs = _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency)
     seed = _resolve_seed(shots, seed)
 
     offsets = steering_efficiency * (freqs - center_frequency)
@@ -203,6 +216,8 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     :class:`FitFailureError` when the trace carries no signal or the
     optimiser fails to converge.
     """
+    from scipy.optimize import least_squares
+
     if trace.kind != "frequency":
         raise ValidationError("profile fit expects a frequency-scan trace")
     freqs, p1 = trace.x, trace.values
@@ -274,9 +289,7 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
     range cannot be reached and raise :class:`OutOfRangeError` listing
     the unreachable indices.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or freqs.size < 4:
-        raise ValidationError("frequencies must hold at least four points")
+    freqs = _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency)
     seed = _resolve_seed(shots, seed)
 
     spots = steering_efficiency * (freqs - center_frequency)
@@ -321,13 +334,46 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
 def count_resolved_peaks(trace, height=0.5, depth=0.5):
     """Number of well-separated peaks in a scan trace.
 
-    A peak must reach ``height`` and be separated from its neighbours by
-    valleys at least ``depth * height`` below it (prominence test).
-    """
-    from scipy.signal import find_peaks
+    A peak is a local maximum (a flat top counts once) that reaches
+    ``height`` and is separated from its neighbours by valleys at least
+    ``depth * height`` below it: on each side, the trace must fall that
+    far before it climbs above the peak or ends.  This is the height and
+    prominence rule of ``scipy.signal.find_peaks``, with one change for
+    equal heights: the left-hand base search stops at a sample as high as
+    the peak, while the right-hand search stops only at a strictly higher
+    one.  A crest that binomial readout flattens into several samples at
+    exactly 1.0 therefore counts once, not once per sample; on traces
+    without ties the count equals ``find_peaks``'.
 
-    peaks, _ = find_peaks(trace.values, height=height, prominence=depth * height)
-    return int(peaks.size)
+    One pass over the trace with a stack of non-increasing samples: each
+    entry carries the minimum since the entry below it (its left base),
+    and the sample that pops it carries the minimum since it (its right
+    base).
+    """
+    x = trace.values
+    prominence = depth * height
+    # peak candidates: the first sample of every rise-then-fall plateau
+    d = np.diff(x)
+    steps = np.flatnonzero(d)
+    rise = d[steps] > 0.0
+    starts = steps[:-1][rise[:-1] & ~rise[1:]] + 1
+    candidate = np.zeros(x.size + 1, dtype=bool)
+    candidate[starts[x[starts] >= height]] = True
+
+    stack = []  # (value, minimum since the entry below, is a candidate)
+    count = 0
+    # min()/max() calls would triple the cost of this loop
+    for v, is_peak in zip(x.tolist() + [math.inf], candidate.tolist()):
+        low = math.inf  # minimum of the samples after the current top
+        while stack and stack[-1][0] < v:
+            top, left_base, top_is_peak = stack.pop()
+            # every sample between top and v is <= top, so low <= top
+            if top_is_peak and top - (left_base if left_base > low else low) >= prominence:
+                count += 1
+            if left_base < low:
+                low = left_base
+        stack.append((v, v if v < low else low, is_peak))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +403,8 @@ class CrosstalkExperiment:
 
 def _fit_sinusoid(times, p1):
     """Fit ``P1 = A sin^2(omega t / 2)``; returns (omega, sigma_omega)."""
+    from scipy.optimize import least_squares
+
     n = times.size
     span = float(times[-1] - times[0])
     peak = float(p1.max())
@@ -494,8 +542,8 @@ class PureDelay:
     delay: float
 
     def __post_init__(self):
-        if self.delay < 0.0:
-            raise ValidationError("delay must be >= 0")
+        if not (self.delay >= 0.0 and math.isfinite(self.delay)):
+            raise ValidationError("delay must be finite and >= 0")
 
     def area(self, duration):
         return np.maximum(np.asarray(duration, dtype=float) - self.delay, 0.0)
@@ -537,10 +585,11 @@ class SwitchSequence:
 
     def __post_init__(self):
         for name in ("pi2_time_ion0", "pi2_time_ion1"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive")
-        if self.settle_time < 0.0:
-            raise ValidationError("settle_time must be >= 0")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite")
+        if not (self.settle_time >= 0.0 and math.isfinite(self.settle_time)):
+            raise ValidationError("settle_time must be finite and >= 0")
         if not hasattr(self.model, "area"):
             raise ValidationError("model must expose an area(duration) method")
 

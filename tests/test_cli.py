@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -167,6 +168,32 @@ def test_csv_values_parse_and_avoid_negative_zero(tmp_path):
         for cell in row.split(",")[2:]:  # first two columns are index and label
             float(cell)
             assert cell != "-0"
+
+
+_IMPORT_PROBE = """
+import json, sys
+from aodkit.cli import main
+
+heavy = ("scipy.optimize", "scipy.special", "scipy.signal")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for argv in (["trace"], ["lab", "chain-scan"]):
+    assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+    loaded[" ".join(argv)] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_light_commands_load_no_heavy_scipy(tmp_path):
+    import aodkit
+
+    src = str(Path(aodkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, CONFIG, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "trace": [], "lab chain-scan": []}
 
 
 def test_module_entry_point_runs():

@@ -124,6 +124,56 @@ def test_count_resolved_peaks_merges_overlapping_ions():
     assert vl.count_resolved_peaks(envelope(0.75e-6)) == 1
 
 
+def _oracle_traces():
+    """Seeded tie-free traces: white noise, noisy bumps, random walks."""
+    rng = np.random.default_rng(17)
+    for k in range(600):
+        n = int(rng.integers(3, 400))
+        if k % 3 == 0:
+            y = rng.random(n)
+        elif k % 3 == 1:
+            u = np.linspace(0.0, rng.uniform(1.0, 40.0), n)
+            y = np.abs(np.sin(u) + rng.uniform(0.0, 0.5) * rng.standard_normal(n))
+        else:
+            y = np.cumsum(rng.standard_normal(n))
+            y = y - y.min()
+        yield y / y.max() if y.max() > 0.0 else y
+
+
+def test_count_resolved_peaks_matches_find_peaks_without_ties():
+    from scipy.signal import find_peaks
+
+    for y in _oracle_traces():
+        assert np.unique(y).size == y.size
+        trace = vl.ScanTrace("frequency", np.arange(y.size, dtype=float), y)
+        want = find_peaks(y, height=0.5, prominence=0.25)[0].size
+        assert vl.count_resolved_peaks(trace) == want
+
+
+def test_count_resolved_peaks_flat_crest_counts_once():
+    def count(values):
+        v = np.array(values, dtype=float)
+        return vl.count_resolved_peaks(vl.ScanTrace("frequency", np.arange(v.size), v))
+    # a binomial-readout crest: samples at exactly 1.0 split by shallow dips
+    assert count([0.0, 1.0, 0.98, 1.0, 0.99, 1.0, 0.0]) == 1
+    assert count([0.0, 1.0, 1.0, 1.0, 0.0]) == 1
+    # equal crests behind a deep valley are two ions
+    assert count([0.0, 1.0, 0.1, 1.0, 0.0]) == 2
+    # a crest touching the trace edge is not a peak
+    assert count([1.0, 1.0, 0.0, 0.9, 0.0]) == 1
+
+
+@pytest.mark.parametrize("shots", [50, 200, 1000])
+def test_noisy_chain_scan_counts_every_ion(shots):
+    chain = aa.IonChain.uniform(30, 3.8e-6)
+    drive = vl.RabiDrive.from_pi_time(2000e-9)
+    freqs = np.linspace(110e6, 190e6, 1601)
+    for seed in range(6):
+        res = vl.simulate_chain_scan(chain, 1.5e-6, STEERING_EFF, drive, freqs, 150e6,
+                                     shots=shots, seed=seed)
+        assert vl.count_resolved_peaks(res.envelope) == 30, seed
+
+
 def test_crosstalk_experiment_recovers_known_ratio():
     w = 1.5e-6
     ratio = 8.6e-4
@@ -218,6 +268,10 @@ def test_scan_trace_validation():
         vl.ScanTrace("time", np.array([0.0, 1.0]), np.array([0.2, 1.4]))
     with pytest.raises(ValidationError):
         vl.ScanTrace("voltage", np.array([0.0, 1.0]), np.array([0.2, 0.4]))
+    with pytest.raises(ValidationError):
+        vl.ScanTrace("time", np.array([0.0, 1.0]), np.array([0.2, math.nan]))
+    with pytest.raises(ValidationError):
+        vl.ScanTrace("time", np.array([0.0, math.inf]), np.array([0.2, 0.4]))
 
 
 def test_negative_seed_rejected():
@@ -226,3 +280,43 @@ def test_negative_seed_rejected():
     with pytest.raises(ValidationError):
         vl.simulate_profile_scan(1.5e-6, STEERING_EFF, drive, freqs, 150e6,
                                  shots=10, seed=-1)
+
+
+_CHAIN = aa.IonChain.uniform(3, 3.8e-6)
+_DRIVE = vl.RabiDrive.from_pi_time(2000e-9)
+_FREQS = np.linspace(145e6, 155e6, 11)
+_TIMES = np.linspace(0.0, 1e-4, 11)
+
+
+def _with(values, index, bad):
+    out = np.array(values, dtype=float)
+    out[index] = bad
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vl.simulate_profile_scan(math.nan, STEERING_EFF, _DRIVE, _FREQS, 150e6),
+    lambda: vl.simulate_profile_scan(1.5e-6, math.inf, _DRIVE, _FREQS, 150e6),
+    lambda: vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, _FREQS, math.nan),
+    lambda: vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE,
+                                     _with(_FREQS, 3, math.nan), 150e6),
+    lambda: vl.simulate_chain_scan(_CHAIN, math.inf, STEERING_EFF, _DRIVE, _FREQS, 150e6),
+    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, math.nan, _DRIVE, _FREQS, 150e6),
+    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, STEERING_EFF, _DRIVE, _FREQS, math.inf),
+    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, STEERING_EFF, _DRIVE,
+                                   _with(_FREQS, -1, math.inf), 150e6),
+    lambda: vl.simulate_crosstalk_experiment(_CHAIN, math.nan, 1, _TIMES, _DRIVE),
+    lambda: vl.simulate_crosstalk_experiment(_CHAIN, 1.5e-6, 1,
+                                             _with(_TIMES, -1, math.inf), _DRIVE),
+    lambda: vl.simulate_crosstalk_experiment(_CHAIN, 1.5e-6, 1,
+                                             _with(_TIMES, 4, math.nan), _DRIVE),
+    lambda: vl.PureDelay(math.nan),
+    lambda: vl.SwitchSequence(math.inf, 1740e-9, vl.PureDelay(238e-9)),
+    lambda: vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(238e-9), settle_time=math.nan),
+], ids=["profile_waist", "profile_efficiency", "profile_center", "profile_frequencies",
+        "chain_waist", "chain_efficiency", "chain_center", "chain_frequencies",
+        "crosstalk_waist", "crosstalk_times_inf", "crosstalk_times_nan",
+        "switch_delay", "switch_pi2_time", "switch_settle_time"])
+def test_lab_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
