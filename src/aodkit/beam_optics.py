@@ -235,14 +235,11 @@ class AodDeflector:
     drive_frequency: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.center_frequency <= 0.0:
-            raise ValidationError("center_frequency must be positive")
-        if self.acoustic_velocity <= 0.0:
-            raise ValidationError("acoustic_velocity must be positive")
         if self.drive_frequency is None:
             object.__setattr__(self, "drive_frequency", self.center_frequency)
-        if self.drive_frequency <= 0.0:
-            raise ValidationError("drive_frequency must be positive")
+        for name in ("center_frequency", "acoustic_velocity", "drive_frequency"):
+            if not (getattr(self, name) > 0.0 and math.isfinite(getattr(self, name))):
+                raise ValidationError(f"{name} must be positive and finite")
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -293,8 +290,9 @@ class Aperture:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0.0:
-            raise ValidationError(f"half_width must be positive, got {self.half_width}")
+        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
+            raise ValidationError(
+                f"half_width must be positive and finite, got {self.half_width}")
 
 
 RAY_ELEMENTS = (FreeSpace, ThinLens, AnamorphicScaler, ImagingSystem, AodDeflector, BeamSampler)

@@ -87,6 +87,10 @@ class OutOfRangeError(DomainError):
         self.indices = tuple(indices)
 
 
+class ConvergenceError(DomainError):
+    """An iterative solve stopped without meeting its tolerance."""
+
+
 class FitFailureError(DomainError):
     """A model fit did not converge or the data carry no usable signal."""
 

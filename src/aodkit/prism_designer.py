@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     InfeasibleDesignError,
     TotalInternalReflectionError,
     UnachievableTargetError,
@@ -89,36 +90,50 @@ class PrismPairDesign:
 # ---------------------------------------------------------------------------
 
 
-def _single_prism(theta1_deg, wedge_deg, n):
+def _trace_buffers(shape):
+    """Work arrays for one four-surface trace of ``shape`` samples."""
+    floats = np.empty((7,) + tuple(shape))
+    fails = np.empty((2,) + tuple(shape), dtype=int)
+    return (*floats, *fails, np.empty(shape, dtype=bool))
+
+
+def _single_prism(theta1_deg, wedge_deg, n, t1, t2, t3, m, exit_deg, fail, flag):
     """Trace one prism (entry + exit surface), all angles in degrees.
 
-    Returns (width_factor, exit_angle_deg, fail) where ``fail`` is 0 for a
-    feasible trace, 1 if the ray cannot strike the entry face
-    (|theta1| >= 90) and 2 for total internal reflection at the exit.
+    Writes the width factor to ``m``, the exit angle (degrees) to
+    ``exit_deg`` and to ``fail`` 0 for a feasible trace, 1 if the ray
+    cannot strike the entry face (|theta1| >= 90) and 2 for total
+    internal reflection at the exit; ``t1``, ``t2``, ``t3`` and ``flag``
+    are scratch.  Every output is preallocated, so a Monte-Carlo chunk
+    reuses its pages instead of faulting fresh temporaries in.
+    ``exit_deg`` may be ``theta1_deg``.
     """
-    theta1 = np.radians(np.asarray(theta1_deg, dtype=float))
-    fail = np.zeros(theta1.shape, dtype=int)
-    graze = np.abs(theta1) >= math.pi / 2.0
-    fail[graze] = 1
-    t1 = np.where(graze, 0.0, theta1)
+    np.radians(theta1_deg, out=t1)
+    np.greater_equal(np.abs(t1, out=m), math.pi / 2.0, out=flag)  # grazing
+    np.copyto(fail, flag)
+    np.copyto(t1, 0.0, where=flag)
 
-    t2 = np.arcsin(np.sin(t1) / n)  # |sin t1| / n < 1 always for n >= 1
-    t3 = t2 - np.radians(wedge_deg)
-    s4 = n * np.sin(t3)
-    tir = (np.abs(s4) > 1.0) & (fail == 0)
-    fail[tir] = 2
-    t4 = np.arcsin(np.clip(s4, -1.0, 1.0))
+    np.arcsin(np.divide(np.sin(t1, out=t2), n, out=t2), out=t2)  # |sin t1| / n < 1
+    np.subtract(t2, np.radians(wedge_deg, out=t3), out=t3)
+    s4 = np.multiply(n, np.sin(t3, out=exit_deg), out=exit_deg)
+    np.greater(np.abs(s4, out=m), 1.0, out=flag)
+    flag &= fail == 0
+    np.copyto(fail, 2, where=flag)
+    t4 = np.arcsin(np.clip(s4, -1.0, 1.0, out=s4), out=s4)
 
-    m = (np.cos(t2) / np.cos(t1)) * (np.cos(t4) / np.cos(t3))
-    m = np.where(fail == 0, m, np.nan)
-    return m, np.degrees(t4), fail
+    np.divide(np.cos(t2, out=t2), np.cos(t1, out=t1), out=m)
+    np.multiply(m, np.divide(np.cos(t4, out=t1), np.cos(t3, out=t3), out=t1), out=m)
+    np.copyto(m, np.nan, where=fail != 0)
+    np.degrees(t4, out=exit_deg)
 
 
-def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention):
+def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention, buffers=None):
     """Expansion factor for broadcast arrays of angles (degrees).
 
     Returns (values, fail_surface); ``fail_surface`` is 0 where feasible,
-    else the 1-based index of the first offending surface.
+    else the 1-based index of the first offending surface.  Both are
+    views into ``buffers`` (from :func:`_trace_buffers`, of the broadcast
+    shape) when it is given.
     """
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
@@ -129,26 +144,26 @@ def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention):
     alpha, alpha_prime, beta, beta_prime = (
         np.atleast_1d(a) for a in (alpha, alpha_prime, beta, beta_prime)
     )
+    t1, t2, t3, m1, theta4, m2, theta1b, fail1, surface, flag = (
+        buffers or _trace_buffers(alpha.shape))
+    scratch = (t1, t2, t3)
     if convention == "grazing-chained":
-        theta1 = 90.0 - alpha
+        theta1 = np.subtract(90.0, alpha, out=theta4)
     else:
         theta1 = alpha
-
-    m1, theta4, fail1 = _single_prism(theta1, beta, n)
+    _single_prism(theta1, beta, n, *scratch, m1, theta4, fail1, flag)
 
     if convention == "grazing-chained":
-        theta1b = (90.0 - alpha_prime) + theta4
+        np.add(np.subtract(90.0, alpha_prime, out=theta1b), theta4, out=theta1b)
     else:
-        theta1b = alpha_prime + theta4
-    m2, _, fail2 = _single_prism(theta1b, beta_prime, n)
+        np.add(alpha_prime, theta4, out=theta1b)
+    _single_prism(theta1b, beta_prime, n, *scratch, m2, theta1b, surface, flag)
 
-    surface = np.zeros(m1.shape, dtype=int)
-    surface[fail2 == 2] = 4
-    surface[fail2 == 1] = 3
-    surface[fail1 == 2] = 2
-    surface[fail1 == 1] = 1
-
-    values = np.where(surface == 0, m1 * m2, np.nan)
+    # prism 2 fails at surface 3 or 4; a prism-1 failure (1 or 2) comes first
+    np.add(surface, 2, out=surface, where=surface != 0)
+    np.copyto(surface, fail1, where=fail1 != 0)
+    values = np.multiply(m1, m2, out=m1)
+    np.copyto(values, np.nan, where=surface != 0)
     return values.reshape(shape), surface.reshape(shape)
 
 
@@ -267,8 +282,8 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
     the achievable range on the bracket; an interval over which M is flat
     at the target returns an endpoint flagged as degenerate.
     """
-    if target <= 0.0:
-        raise ValidationError(f"target expansion must be positive, got {target}")
+    if not (target > 0.0 and math.isfinite(target)):
+        raise ValidationError(f"target expansion must be positive and finite, got {target}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValidationError(f"bracket must be an increasing pair, got {bracket}")
@@ -328,7 +343,10 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
             b = mid
     mid = 0.5 * (a + b)
     m_mid = m_of(mid)
-    assert abs(m_mid - target) <= rel * target, "bisection failed to converge"
+    if not abs(m_mid - target) <= rel * target:
+        raise ConvergenceError(
+            f"bisection stopped at alpha' = {mid:.6g} deg with M = {m_mid:.6g}, "
+            f"not within {rel:g} of the target {target}")
     return AlphaPrimeSolution(alpha_prime=mid, expansion=m_mid, degenerate=False,
                               convention=conv)
 
@@ -372,8 +390,8 @@ class ToleranceSpec:
 
     def __post_init__(self):
         for name in ANGLE_NAMES:
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"tolerance {name} must be >= 0")
+            if not (getattr(self, name) >= 0.0 and math.isfinite(getattr(self, name))):
+                raise ValidationError(f"tolerance {name} must be finite and >= 0")
 
     def as_tuple(self):
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
@@ -444,26 +462,43 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
     worst_lin = 0.0
     kept = [] if keep_values else None
 
+    # One set of chunk buffers per call: the same ufuncs on the same
+    # operands as fresh temporaries would give, without the page faults.
+    size = min(_MC_CHUNK, samples)
+    draws = np.empty((size, 4))
+    angle_rows = np.empty((4, size))
+    buffers = _trace_buffers((size,))
+    vals_buf, scratch_buf = np.empty((2, size))
     done = 0
     chunk_index = 0
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        offsets = rng.uniform(-1.0, 1.0, size=(count, 4)) * tol[None, :]
-        values, surface = eval_points(offsets)
-        good = surface == 0
-        vals = values[good]
-        feasible += int(good.sum())
-        infeasible += int(count - good.sum())
-        if vals.size:
+        u = rng.random(out=draws[:count])
+        angles = angle_rows[:, :count]
+        for j, a in enumerate(angles):
+            # rng.uniform(-1, 1) is -1 + 2 u, then scale and shift per angle
+            np.add(-1.0, np.multiply(u[:, j], 2.0, out=a), out=a)
+            np.add(base[j], np.multiply(a, tol[j], out=a), out=a)
+        values, surface = _expansion_many(
+            *angles, n, conv, tuple(b[..., :count] for b in buffers))
+        good = np.equal(surface, 0, out=buffers[-1][:count])
+        k = int(np.count_nonzero(good))
+        feasible += k
+        infeasible += count - k
+        if k:
+            vals = np.compress(good, values, out=vals_buf[:k])
+            scratch = scratch_buf[:k]
             mean_acc += float(vals.sum())
-            sq_acc += float((vals**2).sum())
+            sq_acc += float(np.square(vals, out=scratch).sum())
             vmin = min(vmin, float(vals.min()))
             vmax = max(vmax, float(vals.max()))
-            worst_log = max(worst_log, float(np.abs(np.log(vals / m0)).max()))
-            worst_lin = max(worst_lin, float(np.abs(vals / m0 - 1.0).max()))
+            log_err = np.log(np.divide(vals, m0, out=scratch), out=scratch)
+            worst_log = max(worst_log, float(np.abs(log_err, out=scratch).max()))
+            lin_err = np.subtract(np.divide(vals, m0, out=scratch), 1.0, out=scratch)
+            worst_lin = max(worst_lin, float(np.abs(lin_err, out=scratch).max()))
             if kept is not None:
-                kept.append(vals)
+                kept.append(vals.copy())
         done += count
         chunk_index += 1
 

@@ -161,6 +161,70 @@ def _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency):
 
 
 # ---------------------------------------------------------------------------
+# Bounded least squares
+# ---------------------------------------------------------------------------
+
+
+_LSQ_TOL = 1e-12
+_LSQ_MAX_STEPS = 200
+
+
+def _least_squares(residuals, jacobian, x0, lower, upper, scale):
+    """Minimise ``0.5 |residuals(x)|^2`` inside the box ``[lower, upper]``.
+
+    Levenberg-Marquardt in the scaled variables ``x / scale`` (Moré, "The
+    Levenberg-Marquardt algorithm: implementation and theory", LNM 630,
+    1978) with Nielsen's gain-ratio update of the damping.  A variable on
+    a bound whose gradient points out of the box is held there for the
+    step; the free variables take the damped Gauss-Newton step, clipped
+    into the box.  Stops when an accepted step lowers the cost by less
+    than ``_LSQ_TOL`` of it, when a step is shorter than ``_LSQ_TOL`` of
+    the scaled ``|x|``, or when the projected scaled gradient is below
+    ``_LSQ_TOL``.  Returns ``(x, residuals, jacobian, cost, success)``;
+    ``success`` is False when the start is not finite or
+    ``_LSQ_MAX_STEPS`` steps run out.
+    """
+    lower, upper, scale = (np.asarray(v, dtype=float) for v in (lower, upper, scale))
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r = residuals(x)
+    cost = 0.5 * float(r @ r)
+    jac = jacobian(x)
+    if not (math.isfinite(cost) and np.isfinite(jac).all()):
+        return x, r, jac, cost, False
+    lam, grow = None, 2.0
+    for _ in range(_LSQ_MAX_STEPS):
+        js = jac * scale
+        g = js.T @ r
+        free = ~((x <= lower) & (g > 0.0) | (x >= upper) & (g < 0.0))
+        if np.abs(g[free]).max(initial=0.0) <= _LSQ_TOL:
+            return x, r, jac, cost, True
+        a = js[:, free].T @ js[:, free]
+        if lam is None:
+            lam = 1e-3 * float(a.diagonal().max())
+        step = np.linalg.solve(a + lam * np.eye(a.shape[0]), -g[free])
+        x_new = x.copy()
+        x_new[free] = np.clip(x[free] + scale[free] * step, lower[free], upper[free])
+        z_norm = np.linalg.norm(x / scale)
+        if np.linalg.norm((x_new - x) / scale) <= _LSQ_TOL * (_LSQ_TOL + z_norm):
+            return x, r, jac, cost, True
+        r_new = residuals(x_new)
+        cost_new = 0.5 * float(r_new @ r_new)
+        if cost_new < cost:
+            predicted = 0.5 * float(step @ (lam * step - g[free]))
+            rho = (cost - cost_new) / predicted
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            grow = 2.0
+            converged = cost - cost_new <= _LSQ_TOL * cost
+            x, r, cost, jac = x_new, r_new, cost_new, jacobian(x_new)
+            if converged:
+                return x, r, jac, cost, True
+        else:
+            lam *= grow
+            grow *= 2.0
+    return x, r, jac, cost, False
+
+
+# ---------------------------------------------------------------------------
 # Beam-profile scan
 # ---------------------------------------------------------------------------
 
@@ -216,8 +280,6 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     :class:`FitFailureError` when the trace carries no signal or the
     optimiser fails to converge.
     """
-    from scipy.optimize import least_squares
-
     if trace.kind != "frequency":
         raise ValidationError("profile fit expects a frequency-scan trace")
     freqs, p1 = trace.x, trace.values
@@ -235,31 +297,39 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     half_span = max(0.5 * (above[-1] - above[0]), abs(freqs[1] - freqs[0]))
     w_init = max(abs(steering_efficiency) * half_span, 1e-12)
 
-    def model(params, f):
+    def parts(params):
         om0, fc, w = params
-        off = steering_efficiency * (f - fc)
-        rate = om0 * np.exp(-power * off**2 / w**2)
-        return np.sin(0.5 * rate * t) ** 2
+        off = steering_efficiency * (freqs - fc)
+        envelope = np.exp(-power * off**2 / w**2)
+        return off, envelope, 0.5 * t * om0 * envelope
 
     def residuals(params):
-        return model(params, freqs) - p1
+        return np.sin(parts(params)[2]) ** 2 - p1
+
+    def jacobian(params):
+        om0, fc, w = params
+        off, envelope, phase = parts(params)
+        d_rate = 0.5 * t * np.sin(2.0 * phase)  # d P1 / d (om0 * envelope)
+        return np.column_stack([
+            d_rate * envelope,
+            d_rate * om0 * envelope * 2.0 * power * steering_efficiency * off / w**2,
+            d_rate * om0 * envelope * 2.0 * power * off**2 / w**3,
+        ])
 
     span = float(freqs[-1] - freqs[0])
-    result = least_squares(
-        residuals,
-        x0=[om_init, f0_init, w_init],
-        bounds=([1e-6 * om_init, freqs[0] - span, 1e-3 * w_init],
-                [1e4 * om_init, freqs[-1] + span, 1e4 * w_init]),
-        x_scale=[om_init, max(span, 1.0), w_init],
-    )
-    if not result.success:
-        raise FitFailureError(f"profile fit did not converge: {result.message}")
-    rms = float(np.sqrt(np.mean(result.fun**2)))
+    x, r, _, _, success = _least_squares(
+        residuals, jacobian, [om_init, f0_init, w_init],
+        lower=[1e-6 * om_init, freqs[0] - span, 1e-3 * w_init],
+        upper=[1e4 * om_init, freqs[-1] + span, 1e4 * w_init],
+        scale=[om_init, max(span, 1.0), w_init])
+    if not success:
+        raise FitFailureError("profile fit did not converge")
+    rms = float(np.sqrt(np.mean(r**2)))
     noise_floor = 0.5 / math.sqrt(trace.shots) if trace.shots else 0.05
     if rms > max(0.25 * peak, 3.0 * noise_floor):
         raise FitFailureError(
             f"profile fit residual rms {rms:.3g} rejects the Gaussian model")
-    om0, fc, w = (float(v) for v in result.x)
+    om0, fc, w = (float(v) for v in x)
     return ProfileFit(waist=abs(w), center_frequency=fc, peak_rabi=om0,
                       residual_rms=rms, mode=mode)
 
@@ -403,8 +473,6 @@ class CrosstalkExperiment:
 
 def _fit_sinusoid(times, p1):
     """Fit ``P1 = A sin^2(omega t / 2)``; returns (omega, sigma_omega)."""
-    from scipy.optimize import least_squares
-
     n = times.size
     span = float(times[-1] - times[0])
     peak = float(p1.max())
@@ -423,26 +491,27 @@ def _fit_sinusoid(times, p1):
         om, a = params
         return a * np.sin(0.5 * om * times) ** 2 - p1
 
+    def jacobian(params):
+        om, a = params
+        return np.column_stack([0.5 * a * times * np.sin(om * times),
+                                np.sin(0.5 * om * times) ** 2])
+
     best = None
     for om0 in {om_fft, om_growth}:
         if not (om0 > 0.0 and math.isfinite(om0)):
             continue
-        try:
-            res = least_squares(residuals, x0=[om0, max(peak, 0.1)],
-                                bounds=([0.0, 0.0], [np.inf, 1.05]),
-                                x_scale=[om0, 1.0])
-        except ValueError:
-            continue
-        if res.success and (best is None or res.cost < best.cost):
-            best = res
+        fit = _least_squares(residuals, jacobian, [om0, max(peak, 0.1)],
+                             lower=[0.0, 0.0], upper=[np.inf, 1.05], scale=[om0, 1.0])
+        if fit[4] and (best is None or fit[3] < best[3]):
+            best = fit
     if best is None:
         raise FitFailureError("sinusoid fit did not converge")
-    om = float(best.x[0])
+    x, _, jac, cost, _ = best
+    om = float(x[0])
 
     dof = max(n - 2, 1)
-    jac = best.jac
     try:
-        cov = np.linalg.inv(jac.T @ jac) * (2.0 * best.cost / dof)
+        cov = np.linalg.inv(jac.T @ jac) * (2.0 * cost / dof)
         sigma = float(math.sqrt(max(cov[0, 0], 0.0)))
     except np.linalg.LinAlgError:
         sigma = math.inf

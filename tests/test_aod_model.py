@@ -156,6 +156,32 @@ def test_monitor_voltage_product_and_linearity():
     assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
 
+_CHAIN = am.MonitorChain(sample_fraction=0.01, responsivity=0.2, transimpedance_gain=1e4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3, efficiency_width=math.nan),
+    lambda: am.AodSpec(150e6, 100e6, math.inf, 355e-9, 1.5e-3),
+    lambda: am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3, peak_efficiency=math.nan),
+    lambda: am.MonitorChain(0.01, math.nan, 1e4),
+    lambda: am.MonitorChain(0.01, 0.2, math.inf),
+    lambda: am.monitor_voltage(_CHAIN, math.nan, 0.5),
+    lambda: am.monitor_voltage(_CHAIN, math.inf, 0.5),
+    lambda: am.monitor_voltage(_CHAIN, 1.0, np.array([0.5, math.nan])),
+], ids=["efficiency_width", "acoustic_velocity", "peak_efficiency", "responsivity",
+        "transimpedance_gain", "beam_power_nan", "beam_power_inf", "efficiency"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_erf_matches_scipy_special():
+    u = np.linspace(-6.0, 6.0, 10_000)
+    want = erf(u)
+    assert np.all(np.abs(am._erf(u) - want) <= 2.0 * np.spacing(np.abs(want)))
+    assert am._erf(0.5) == pytest.approx(erf(0.5), rel=1e-15)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         am.AodSpec(150e6, -1.0, 5700.0, 355e-9, 1.5e-3)

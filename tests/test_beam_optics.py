@@ -134,6 +134,18 @@ def test_aperture_not_propagatable():
         bo.propagate(_beam(), bo.Aperture(1e-3))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bo.Aperture(half_width=math.nan),
+    lambda: bo.Aperture(half_width=math.inf),
+    lambda: bo.AodDeflector(math.nan, 5700.0),
+    lambda: bo.AodDeflector(150e6, math.inf),
+    lambda: bo.AodDeflector(150e6, 5700.0, drive_frequency=math.nan),
+], ids=["aperture_nan", "aperture_inf", "aod_center", "aod_velocity", "aod_drive"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_lens_focuses_collimated_beam():
     beam = bo.AstigmaticBeam.circular(LAM, 1.504e-3)
     out = bo.propagate(beam, bo.ThinLens(0.1))

@@ -176,7 +176,9 @@ from aodkit.cli import main
 
 heavy = ("scipy.optimize", "scipy.special", "scipy.signal")
 loaded = {"import": [m for m in heavy if m in sys.modules]}
-for argv in (["trace"], ["lab", "chain-scan"]):
+commands = (["trace"], ["lab", "chain-scan"], ["lab", "profile-scan"],
+            ["lab", "crosstalk"], ["lab", "switching"])
+for argv in commands:
     assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
     loaded[" ".join(argv)] = [m for m in heavy if m in sys.modules]
 print(json.dumps(loaded))
@@ -193,7 +195,8 @@ def test_light_commands_load_no_heavy_scipy(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "trace": [], "lab chain-scan": []}
+    assert loaded == {"import": [], "trace": [], "lab chain-scan": [],
+                      "lab profile-scan": [], "lab crosstalk": [], "lab switching": []}
 
 
 def test_module_entry_point_runs():

@@ -5,6 +5,7 @@ import pytest
 
 from aodkit import prism_designer as pz
 from aodkit.errors import (
+    ConvergenceError,
     InfeasibleDesignError,
     TotalInternalReflectionError,
     UnachievableTargetError,
@@ -141,6 +142,28 @@ def test_solve_alpha_prime_unachievable():
     assert lo < 4.7 < hi < 40.0
 
 
+def test_solve_alpha_prime_reports_failed_bisection(monkeypatch):
+    # a step in M that bisection can bracket but never meet
+    monkeypatch.setattr(pz, "expansion_factor",
+                        lambda design, convention=None: 1.0 if design.alpha_prime < 20.0 else 3.0)
+    with pytest.raises(ConvergenceError):
+        pz.solve_alpha_prime(2.0, 39.0, 30.0, 30.0, 1.476, convention="grazing-chained")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pz.solve_alpha_prime(math.nan, 39.0, 30.0, 30.0, 1.476),
+    lambda: pz.solve_alpha_prime(math.inf, 39.0, 30.0, 30.0, 1.476),
+    lambda: pz.ToleranceSpec(math.nan, 1.0, 0.25, 0.25),
+    lambda: pz.ToleranceSpec(1.0, 1.0, math.inf, 0.25),
+    lambda: pz.PrismPairDesign(39.0, math.nan, 30.0, 30.0, 1.476),
+    lambda: pz.PrismPairDesign(39.0, 14.75, 30.0, 30.0, math.nan),
+], ids=["target_nan", "target_inf", "tolerance_alpha", "tolerance_beta",
+        "design_alpha_prime", "design_index"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_sensitivity_frozen():
     sens = pz.sensitivity(ANCHOR)
     assert set(sens) == set(SENSITIVITY)
@@ -205,6 +228,28 @@ def test_monte_carlo_keep_values():
     # bound (rather than equal) the retained random draws
     assert rep.values.min() >= rep.minimum
     assert rep.values.max() <= rep.maximum
+
+
+def test_monte_carlo_chunk_buffers_match_fresh_draws():
+    # reference: per-chunk rng.uniform draws and fresh temporaries
+    tol = pz.ToleranceSpec(20.0, 20.0, 10.0, 10.0)
+    samples = 2 * pz._MC_CHUNK + 100
+    rep = pz.tolerance_monte_carlo(ANCHOR, tol, samples=samples, seed=9, keep_values=True)
+    kept, sums, done, chunk = [], [], 0, 0
+    while done < samples:
+        count = min(pz._MC_CHUNK, samples - done)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, chunk))))
+        offsets = rng.uniform(-1.0, 1.0, size=(count, 4)) * np.asarray(tol.as_tuple())
+        angles = np.asarray(ANCHOR.angles()) + offsets
+        values, surface = pz._expansion_many(*angles.T, ANCHOR.refractive_index, "grazing-chained")
+        kept.append(values[surface == 0])
+        sums.append(float(kept[-1].sum()))
+        done += count
+        chunk += 1
+    assert rep.infeasible_samples > 0
+    assert rep.feasible_samples == sum(v.size for v in kept)
+    assert np.array_equal(rep.values, np.concatenate(kept))
+    assert rep.mean == sum(sums) / rep.feasible_samples
 
 
 def test_expansion_contour_masks_infeasible_cells():

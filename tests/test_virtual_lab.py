@@ -92,6 +92,92 @@ def test_profile_scan_amplitude_mode_round_trip():
     assert fit.waist == pytest.approx(1.57e-6, rel=1e-6)
 
 
+def _captured_problems(monkeypatch, run):
+    """The least-squares problems ``run`` poses, with the solver's answers."""
+    problems = []
+
+    def spy(residuals, jacobian, x0, lower, upper, scale):
+        out = solve(residuals, jacobian, x0, lower, upper, scale)
+        problems.append(((residuals, jacobian, x0, lower, upper, scale), out))
+        return out
+
+    solve = vl._least_squares
+    monkeypatch.setattr(vl, "_least_squares", spy)
+    run()
+    monkeypatch.undo()
+    return problems
+
+
+def _check_against_trf(problems):
+    """Cost no higher than scipy's finite-difference TRF, the same minimum
+    as TRF given the analytic Jacobian, and that Jacobian right."""
+    from scipy.optimize import least_squares
+
+    for (residuals, jacobian, x0, lower, upper, scale), (x, r, jac, cost, ok) in problems:
+        assert ok
+        assert cost == pytest.approx(0.5 * float(r @ r), rel=1e-15)
+        assert np.array_equal(jac, jacobian(x))
+        trf = least_squares(residuals, x0=x0, bounds=(lower, upper), x_scale=scale)
+        assert trf.success and cost <= trf.cost * (1.0 + 1e-9)
+        # finite-difference TRF stops up to 4e-4 from the minimum; given
+        # the analytic Jacobian it meets this solver's answer
+        exact = least_squares(residuals, jac=jacobian, x0=x0, bounds=(lower, upper),
+                              x_scale=scale)
+        assert exact.success
+        assert np.all(np.abs(x - exact.x) <= 1e-4 * np.abs(exact.x))
+        x0 = np.asarray(x0, dtype=float)
+        h = 1e-6 * np.asarray(scale)
+        for k in range(x.size):
+            dx = np.zeros(x.size)
+            dx[k] = h[k]
+            central = 0.5 * (residuals(x0 + dx) - residuals(x0 - dx))
+            assert np.allclose(jacobian(x0)[:, k] * h[k], central, rtol=1e-5, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["intensity", "amplitude"])
+@pytest.mark.parametrize("shots", [50, 200, 1000])
+def test_profile_fit_solver_matches_trf(monkeypatch, mode, shots):
+    drive = vl.RabiDrive.from_pi_time(2000e-9)
+    freqs = np.linspace(145e6, 155e6, 201)
+
+    def run():
+        for seed in range(4):
+            trace = vl.simulate_profile_scan(1.45e-6 + 0.05e-6 * seed, STEERING_EFF, drive,
+                                             freqs, 150e6 + 2e5 * seed, shots=shots,
+                                             seed=seed, mode=mode)
+            vl.fit_gaussian_profile(trace, drive, STEERING_EFF, mode=mode)
+    problems = _captured_problems(monkeypatch, run)
+    assert len(problems) == 4
+    _check_against_trf(problems)
+
+
+# (ions, spacing, waist, shots, seed) of a noisy crosstalk campaign whose
+# ion-11 sinusoid ends with its amplitude on the 1.05 bound; clipping
+# alone, without freezing that variable, stalls there.
+BOUND_CASE = (20, 3.554023167073943e-06, 1.6227622185148693e-06, 200, 1486044420)
+BOUND_CASE_OMEGA = 41.80341724
+
+
+def test_sinusoid_fit_solver_matches_trf(monkeypatch):
+    times = np.linspace(0.0, 40e-3, 320)
+    drive = vl.RabiDrive.from_pi_time(4980e-9)
+    runs = [BOUND_CASE] + [(10, 3.0e-6 + 0.2e-6 * k, 1.5e-6 + 0.05e-6 * k,
+                            (200, 1000)[k % 2], 40 + k) for k in range(3)]
+    results = []
+
+    def run():
+        for ions, spacing, waist, shots, seed in runs:
+            results.append(vl.simulate_crosstalk_experiment(
+                aa.IonChain.uniform(ions, spacing), waist, ions // 2, times, drive,
+                shots=shots, seed=seed))
+    problems = _captured_problems(monkeypatch, run)
+    assert len(problems) > 10
+    _check_against_trf(problems)
+    assert results[0].rabi_rates[11] == pytest.approx(BOUND_CASE_OMEGA, rel=1e-8)
+    assert any(x[1] == 1.05 and x[0] == pytest.approx(BOUND_CASE_OMEGA, rel=1e-8)
+               for _, (x, *_) in problems)
+
+
 def test_chain_scan_resolves_every_ion():
     chain = aa.IonChain.uniform(30, 3.8e-6)
     drive = vl.RabiDrive.from_pi_time(2000e-9)
