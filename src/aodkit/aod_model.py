@@ -10,7 +10,7 @@ Gaussian field, giving an error-function amplitude ramp.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,44 +97,39 @@ def full_band_swing(spec):
     return spec.optical_wavelength * spec.bandwidth / spec.acoustic_velocity
 
 
-def steering_map(spec, train, drive_frequency):
-    """Transverse displacement at the train's terminal plane for one tone.
-
-    The train must contain exactly one :class:`~aodkit.beam_optics.AodDeflector`
-    with at least one focusing lens after it (angle-to-position mapping);
-    otherwise the train cannot steer and a :class:`TrainStructureError`
-    is raised.  Equivalent to tracing a centred beam through the train
-    with the deflector driven at ``drive_frequency`` and reading the
-    final x centroid.
-    """
+def _steering_gain(spec, train):
+    """Final x centroid (m) of a centred beam leaving the deflector at unit x tilt."""
     elements = list(train)
     aod_indices = [i for i, el in enumerate(elements)
                    if isinstance(el, beam_optics.AodDeflector)]
     if len(aod_indices) != 1:
         raise TrainStructureError(
             f"steering requires exactly one AodDeflector in the train, found {len(aod_indices)}")
-    idx = aod_indices[0]
-    downstream = elements[idx + 1:]
+    downstream = elements[aod_indices[0] + 1:]
     if not any(isinstance(el, beam_optics.ThinLens) and el.axis in ("x", "both")
                for el in downstream):
         raise TrainStructureError(
             "steering requires a focusing lens on the x axis after the deflector")
+    beam = beam_optics.AstigmaticBeam.circular(spec.optical_wavelength, spec.crystal_waist)
+    beam = replace(beam, x=replace(beam.x, tilt=1.0))
+    return beam_optics.trace_train(beam, downstream)[-1].beam.x.centroid
 
-    theta = deflection_angle(spec, drive_frequency)
-    # Ray state (ux, tx, uz, tz) from the deflector output onward; an
-    # ImageRotator mixes the transverse components.
-    ux, tx, uz, tz = 0.0, theta, 0.0, 0.0
-    for el in downstream:
-        if isinstance(el, beam_optics.ImageRotator):
-            ca, sa = math.cos(el.angle), math.sin(el.angle)
-            ux, uz = ca * ux - sa * uz, sa * ux + ca * uz
-            tx, tz = ca * tx - sa * tz, sa * tx + ca * tz
-            continue
-        (a, b), (c, d) = el.ray_matrix("x")
-        ux, tx = a * ux + b * tx, c * ux + d * tx
-        (a, b), (c, d) = el.ray_matrix("z")
-        uz, tz = a * uz + b * tz, c * uz + d * tz
-    return ux
+
+def steering_map(spec, train, drive_frequency):
+    """Transverse displacement (m) at the train's terminal plane.
+
+    ``drive_frequency`` is a scalar or an array.  The map is
+    :func:`deflection_angle` times the train's angle-to-position gain,
+    taken from the same ray path as :func:`~aodkit.beam_optics.propagate`.
+    Raises :class:`TrainStructureError` unless the train holds exactly one
+    deflector with a focusing x lens after it.
+    """
+    return _steering_gain(spec, train) * deflection_angle(spec, drive_frequency)
+
+
+def steering_efficiency(spec, train):
+    """Exact slope of :func:`steering_map`, metres per hertz of drive."""
+    return _steering_gain(spec, train) * spec.optical_wavelength / spec.acoustic_velocity
 
 
 def diffraction_efficiency(spec, drive_frequency):

@@ -59,11 +59,7 @@ def _steering_efficiency(cfg, override):
     if override is not None:
         return override
     _require(cfg, "aod", "train")
-    f0 = cfg.aod.center_frequency
-    df = 1.0 * MHZ
-    d0 = aod_model.steering_map(cfg.aod, cfg.train, f0)
-    d1 = aod_model.steering_map(cfg.aod, cfg.train, f0 + df)
-    return (d1 - d0) / df
+    return aod_model.steering_efficiency(cfg.aod, cfg.train)
 
 
 def _element_label(el):
@@ -235,10 +231,10 @@ def cmd_steer(ctx):
     freqs = np.linspace(lo, hi, 101)
 
     fourier_train = _fourier_subtrain(cfg.train)
-    ion = np.array([aod_model.steering_map(spec, cfg.train, f) for f in freqs])
-    fourier = (np.array([aod_model.steering_map(spec, fourier_train, f) for f in freqs])
+    ion = aod_model.steering_map(spec, cfg.train, freqs)
+    fourier = (aod_model.steering_map(spec, fourier_train, freqs)
                if fourier_train is not None else np.full(freqs.shape, np.nan))
-    angles = np.array([aod_model.deflection_angle(spec, f) for f in freqs])
+    angles = aod_model.deflection_angle(spec, freqs)
 
     csv = report_io.write_csv(
         ctx.outdir, "steer.csv",

@@ -235,6 +235,8 @@ def _check_grid(name, grid):
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-D grid")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
         raise ValidationError(f"{name} must be strictly increasing")
     return arr

@@ -276,7 +276,8 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     """Recover waist and centre from a profile-scan trace.
 
     Fits ``P1(f) = sin^2(0.5 T omega0 r(eff (f - fc); w))`` for
-    ``(omega0, fc, w)`` with ``T = drive.duration``.  Raises
+    ``(omega0, fc, w)`` with ``T = drive.duration``; the model is resonant,
+    so a detuned drive raises :class:`ValidationError`.  Raises
     :class:`FitFailureError` when the trace carries no signal or the
     optimiser fails to converge.
     """
@@ -286,6 +287,8 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     t = drive.duration
     if t <= 0.0:
         raise ValidationError("drive duration must be positive")
+    if drive.detuning != 0.0:
+        raise ValidationError("profile fit models a resonant drive; detuning must be 0")
     peak = float(p1.max())
     if peak < 1e-3:
         raise FitFailureError("profile scan carries no signal above 1e-3")

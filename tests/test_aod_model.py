@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,8 @@ def test_in_band_boundaries():
 def test_out_of_band_deflection_warns():
     with pytest.warns(OutOfBandWarning):
         am.deflection_angle(SPEC, SPEC.center_frequency + 0.51 * SPEC.bandwidth)
+    with pytest.warns(OutOfBandWarning):
+        am.steering_map(SPEC, _steering_train(), np.array([150e6, SPEC.band()[1] + 1e6]))
 
 
 def test_theoretical_switch_time_frozen():
@@ -116,9 +119,30 @@ def _steering_train(extra=()):
 
 def test_steering_map_angle_to_position():
     train = _steering_train()
-    for df in (-50e6, -12e6, 0.0, 31e6, 50e6):
+    dfs = (-50e6, -12e6, 0.0, 31e6, 50e6)
+    for df in dfs:
         got = am.steering_map(SPEC, train, SPEC.center_frequency + df)
         assert got == pytest.approx(0.1 * 355e-9 * df / 5700.0, rel=1e-12, abs=1e-18)
+    freqs = SPEC.center_frequency + np.array(dfs)
+    scalars = np.array([am.steering_map(SPEC, train, f) for f in freqs])
+    assert np.array_equal(am.steering_map(SPEC, train, freqs), scalars)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["reference", "image_rotator"])
+def test_steering_map_matches_traced_centroid(rotated):
+    # independent route: trace the whole train with the deflector retuned
+    pre = (bo.AnamorphicScaler(mx=4.7), SPEC.deflector(), bo.FreeSpace(0.1))
+    post = (bo.ThinLens(0.1), bo.FreeSpace(0.1), bo.ImagingSystem(0.25))
+    if rotated:
+        post = (bo.ImageRotator(0.3), bo.ThinLens(0.1, axis="x"), bo.ThinLens(0.2, axis="z"),
+                bo.FreeSpace(0.1), bo.ImageRotator(-0.2), bo.ImagingSystem(0.25))
+    train = bo.OpticalTrain(pre + post)
+    beam = bo.AstigmaticBeam.circular(355e-9, 0.32e-3)
+    freqs = np.linspace(*SPEC.band(), 11)
+    traced = [bo.trace_train(beam, bo.OpticalTrain(
+        replace(el, drive_frequency=f) if isinstance(el, bo.AodDeflector) else el
+        for el in train))[-1].beam.x.centroid for f in freqs]
+    np.testing.assert_allclose(am.steering_map(SPEC, train, freqs), traced, rtol=1e-14, atol=0)
 
 
 def test_steering_map_through_demagnifier():
@@ -126,6 +150,12 @@ def test_steering_map_through_demagnifier():
     lo, hi = SPEC.band()
     swing = am.steering_map(SPEC, train, hi) - am.steering_map(SPEC, train, lo)
     assert swing == pytest.approx(ION_RANGE, rel=1e-12)
+    # exact slope: closed form, and a 1 MHz difference of the map
+    eff = am.steering_efficiency(SPEC, train)
+    assert eff == pytest.approx(0.1 * 0.25 * 355e-9 / 5700.0, rel=1e-12)
+    f0 = SPEC.center_frequency
+    difference = (am.steering_map(SPEC, train, f0 + 1e6) - am.steering_map(SPEC, train, f0)) / 1e6
+    assert eff == pytest.approx(difference, rel=1e-9)
 
 
 def test_steering_map_image_rotator_turns_displacement():
@@ -145,6 +175,8 @@ def test_steering_map_requires_one_deflector_and_a_lens():
     two = bo.OpticalTrain((SPEC.deflector(), SPEC.deflector(), bo.ThinLens(0.1)))
     with pytest.raises(TrainStructureError):
         am.steering_map(SPEC, two, 150e6)
+    with pytest.raises(TrainStructureError):
+        am.steering_efficiency(SPEC, two)
 
 
 def test_monitor_voltage_product_and_linearity():

@@ -157,8 +157,10 @@ def test_solve_alpha_prime_reports_failed_bisection(monkeypatch):
     lambda: pz.ToleranceSpec(1.0, 1.0, math.inf, 0.25),
     lambda: pz.PrismPairDesign(39.0, math.nan, 30.0, 30.0, 1.476),
     lambda: pz.PrismPairDesign(39.0, 14.75, 30.0, 30.0, math.nan),
+    lambda: pz.expansion_contour([39.0], [math.nan], 30.0, 30.0, 1.476),
+    lambda: pz.expansion_contour([10.0, math.inf], [14.75], 30.0, 30.0, 1.476),
 ], ids=["target_nan", "target_inf", "tolerance_alpha", "tolerance_beta",
-        "design_alpha_prime", "design_index"])
+        "design_alpha_prime", "design_index", "contour_grid_nan", "contour_grid_inf"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

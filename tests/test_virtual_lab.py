@@ -5,7 +5,6 @@ import pytest
 
 from aodkit import addressing_analyzer as aa
 from aodkit import aod_model as am
-from aodkit import bloch
 from aodkit import virtual_lab as vl
 from aodkit.errors import OutOfRangeError, UnbracketedMinimumError, ValidationError
 
@@ -39,17 +38,8 @@ def test_rabi_probability_detuned_closed_form():
     assert vl.rabi_probability(drive, 3.3e-6) == pytest.approx(DETUNED_P1, rel=1e-12)
 
 
-def test_bloch_integrator_matches_closed_form():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(25):
-        om = rng.uniform(1e5, 5e7)
-        det = rng.uniform(-3e7, 3e7)
-        t = rng.uniform(1e-8, 1e-5)
-        og = math.hypot(om, det)
-        ref = (om / og) ** 2 * math.sin(0.5 * og * t) ** 2
-        worst = max(worst, abs(bloch.excited_population(om, det, t) - ref))
-    assert worst < 1e-8
+def test_bloch_integrator_matches_closed_form(bloch_closed_form_worst):
+    assert bloch_closed_form_worst < 1e-8
 
 
 def test_profile_scan_noiseless_round_trip():
@@ -64,6 +54,17 @@ def test_profile_scan_noiseless_round_trip():
         assert fit.center_frequency == pytest.approx(150e6, abs=1.0)
         assert fit.peak_rabi == pytest.approx(drive.peak_rabi, rel=1e-6)
         assert fit.residual_rms < 1e-9
+
+
+@pytest.mark.parametrize("detuning_mhz", [0.1, 0.3])
+def test_profile_fit_rejects_detuned_drive(detuning_mhz):
+    # the resonant model would fit this noiseless scan 10 % (0.1 MHz) to
+    # 40 % (0.3 MHz) too wide without any error
+    drive = vl.RabiDrive.from_pi_time(2000e-9, detuning=2 * math.pi * detuning_mhz * 1e6)
+    freqs = np.linspace(145e6, 155e6, 201)
+    trace = vl.simulate_profile_scan(1.57e-6, STEERING_EFF, drive, freqs, 150e6)
+    with pytest.raises(ValidationError, match="detuning"):
+        vl.fit_gaussian_profile(trace, drive, STEERING_EFF)
 
 
 def test_profile_scan_shot_noise_statistics():
