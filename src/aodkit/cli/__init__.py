@@ -20,7 +20,7 @@ import sys
 import time
 
 from ..errors import ConfigError, DomainError
-from ..prism_designer import calibrated_convention
+from ..prism_designer import CONVENTION
 from .commands import HANDLERS, RunContext
 from .config import parse_config
 from .report import write_run_report
@@ -111,7 +111,7 @@ def main(argv=None):
         wall = time.perf_counter() - start
 
         report_path = write_run_report(
-            outdir, slug, key, cfg.digest, calibrated_convention(),
+            outdir, slug, key, cfg.digest, CONVENTION,
             ctx.seed, results, artifacts)
 
         print(f"command: {key}")

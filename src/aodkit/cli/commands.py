@@ -103,7 +103,7 @@ def cmd_design_prism(ctx):
         title="Prism-pair expansion against second mounting angle")
 
     results = {
-        "convention": solution.convention,
+        "convention": prism_designer.CONVENTION,
         "target_expansion": float(target),
         "solved_alpha_prime_deg": solution.alpha_prime,
         "achieved_expansion": solution.expansion,
@@ -137,7 +137,7 @@ def cmd_tolerance(ctx):
         title="Monte-Carlo expansion spread under mounting tolerances")
 
     results = {
-        "convention": rep.convention,
+        "convention": prism_designer.CONVENTION,
         "design_expansion": rep.design_expansion,
         "samples": rep.samples,
         "feasible_samples": rep.feasible_samples,
@@ -530,7 +530,9 @@ def cmd_lab_crosstalk(ctx):
     csv_ratios = report_io.write_csv(
         ctx.outdir, "lab_crosstalk_ratios.csv",
         ["ion", "position_um", "ratio", "ratio_sigma", "upper_bound", "ideal_ratio"],
-        [(i, positions[i] / UM, exp.ratios[i], exp.ratio_sigmas[i],
+        # a noiseless fit's sigma is rounding, so its cell stays empty
+        [(i, positions[i] / UM, exp.ratios[i],
+          "" if setup.shots is None else exp.ratio_sigmas[i],
           exp.bounded[i], ideal[i]) for i in range(len(cfg.chain))])
 
     show = [i for i in range(len(cfg.chain))

@@ -7,29 +7,19 @@ factor M is the product over the surfaces.
 
 Angle convention
 ----------------
-Quoted mounting angles are referenced against different datums, so the
-module implements the two candidate conventions below and calibrates
-against a known reference design (alpha = 39 deg, alpha' = 14.75 deg,
-beta = beta' = 30 deg, n = 1.476, M = 4.7):
+``alpha`` is the grazing angle between the beam and the entry face of
+prism 1, so the incidence from the normal is ``90 deg - alpha``;
+``alpha'`` is the face-to-face angle between the prisms, so the second
+prism's incidence is ``(90 deg - alpha') + theta4`` with ``theta4`` the
+exit angle of prism 1 (geometry chained through the exit ray).
 
-``normal-chained``
-    ``alpha`` is the incidence angle from the first entry-face normal;
-    the second prism's incidence is ``alpha' + theta4`` with ``theta4``
-    the exit angle of prism 1 (geometry chained through the exit ray).
-
-``grazing-chained``
-    ``alpha`` is the grazing angle between beam and entry face, so the
-    incidence from the normal is ``90 deg - alpha``; ``alpha'`` is the
-    face-to-face angle between the prisms, giving a second incidence of
-    ``(90 deg - alpha') + theta4``.
-
-Only ``grazing-chained`` reproduces the reference design (M = 4.693,
-0.15 % from 4.7; the normal-referenced reading gives M = 1.08), so it is
-the calibrated default.  All angles in this module are degrees; the
-convention in force is recorded in every report.
+This grazing-chained reading is fixed by the reference design
+(alpha = 39 deg, alpha' = 14.75 deg, beta = beta' = 30 deg, n = 1.476,
+M = 4.7): it gives M = 4.693, 0.15 % from 4.7, while reading both angles
+as incidences from the face normals gives M = 1.008.  All angles in this
+module are degrees; reports record the convention as ``CONVENTION``.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,11 +33,10 @@ from .errors import (
     ValidationError,
 )
 
-CONVENTIONS = ("normal-chained", "grazing-chained")
+CONVENTION = "grazing-chained"  # the angle reading above, as reports name it
 
 ANCHOR_DESIGN_ANGLES = (39.0, 14.75, 30.0, 30.0, 1.476)
 ANCHOR_EXPANSION = 4.7
-ANCHOR_TOLERANCE = 0.15  # fractional agreement required to accept a convention
 
 ANGLE_NAMES = ("alpha", "alpha_prime", "beta", "beta_prime")
 
@@ -127,7 +116,7 @@ def _single_prism(theta1_deg, wedge_deg, n, t1, t2, t3, m, exit_deg, fail, flag)
     np.degrees(t4, out=exit_deg)
 
 
-def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention, buffers=None):
+def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, buffers=None):
     """Expansion factor for broadcast arrays of angles (degrees).
 
     Returns (values, fail_surface); ``fail_surface`` is 0 where feasible,
@@ -135,8 +124,6 @@ def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention, buffers
     views into ``buffers`` (from :func:`_trace_buffers`, of the broadcast
     shape) when it is given.
     """
-    if convention not in CONVENTIONS:
-        raise ValidationError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     alpha, alpha_prime, beta, beta_prime = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (alpha, alpha_prime, beta, beta_prime))
     )
@@ -147,16 +134,10 @@ def _expansion_many(alpha, alpha_prime, beta, beta_prime, n, convention, buffers
     t1, t2, t3, m1, theta4, m2, theta1b, fail1, surface, flag = (
         buffers or _trace_buffers(alpha.shape))
     scratch = (t1, t2, t3)
-    if convention == "grazing-chained":
-        theta1 = np.subtract(90.0, alpha, out=theta4)
-    else:
-        theta1 = alpha
+    theta1 = np.subtract(90.0, alpha, out=theta4)
     _single_prism(theta1, beta, n, *scratch, m1, theta4, fail1, flag)
 
-    if convention == "grazing-chained":
-        np.add(np.subtract(90.0, alpha_prime, out=theta1b), theta4, out=theta1b)
-    else:
-        np.add(alpha_prime, theta4, out=theta1b)
+    np.add(np.subtract(90.0, alpha_prime, out=theta1b), theta4, out=theta1b)
     _single_prism(theta1b, beta_prime, n, *scratch, m2, theta1b, surface, flag)
 
     # prism 2 fails at surface 3 or 4; a prism-1 failure (1 or 2) comes first
@@ -175,17 +156,16 @@ _SURFACE_LABEL = {
 }
 
 
-def expansion_factor(design, convention=None):
+def expansion_factor(design):
     """Single-axis expansion ratio M of a prism pair.
 
     Raises :class:`TotalInternalReflectionError` (surfaces 2 and 4) or
     :class:`InfeasibleDesignError` (grazing overflow at surfaces 1 and 3)
     for geometries no ray can traverse.
     """
-    conv = convention or calibrated_convention()
     values, surface = _expansion_many(
         design.alpha, design.alpha_prime, design.beta, design.beta_prime,
-        design.refractive_index, conv,
+        design.refractive_index,
     )
     surf = int(surface)
     if surf:
@@ -194,25 +174,6 @@ def expansion_factor(design, convention=None):
             raise TotalInternalReflectionError(msg, surface_index=surf)
         raise InfeasibleDesignError(msg, surface_index=surf)
     return float(values)
-
-
-@functools.lru_cache(maxsize=1)
-def calibrated_convention():
-    """Angle convention selected by the reference-design calibration.
-
-    Tries the candidate conventions in declaration order and returns the
-    first that reproduces the reference expansion within 15 %.
-    """
-    a, ap, b, bp, n = ANCHOR_DESIGN_ANGLES
-    design = PrismPairDesign(a, ap, b, bp, n)
-    for conv in CONVENTIONS:
-        try:
-            m = expansion_factor(design, convention=conv)
-        except InfeasibleDesignError:
-            continue
-        if abs(m - ANCHOR_EXPANSION) <= ANCHOR_TOLERANCE * ANCHOR_EXPANSION:
-            return conv
-    raise AssertionError("no angle convention reproduces the reference design")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +189,6 @@ class ExpansionContour:
     alpha_prime: np.ndarray
     values: np.ndarray  # shape (len(alpha), len(alpha_prime)), NaN where infeasible
     feasible: np.ndarray
-    convention: str
 
 
 def _check_grid(name, grid):
@@ -242,25 +202,22 @@ def _check_grid(name, grid):
     return arr
 
 
-def expansion_contour(alpha_grid, alpha_prime_grid, beta, beta_prime, refractive_index,
-                      convention=None):
+def expansion_contour(alpha_grid, alpha_prime_grid, beta, beta_prime, refractive_index):
     """Expansion factor over a mounting-angle grid.
 
     Grid points whose geometry is infeasible are flagged in ``feasible``
     and carried as NaN in ``values`` rather than dropped.
     """
-    conv = convention or calibrated_convention()
     alphas = _check_grid("alpha_grid", alpha_grid)
     alpha_primes = _check_grid("alpha_prime_grid", alpha_prime_grid)
     values, surface = _expansion_many(
-        alphas[:, None], alpha_primes[None, :], beta, beta_prime, refractive_index, conv,
+        alphas[:, None], alpha_primes[None, :], beta, beta_prime, refractive_index,
     )
     return ExpansionContour(
         alpha=alphas,
         alpha_prime=alpha_primes,
         values=values,
         feasible=surface == 0,
-        convention=conv,
     )
 
 
@@ -271,30 +228,27 @@ class AlphaPrimeSolution:
     alpha_prime: float
     expansion: float
     degenerate: bool
-    convention: str
 
 
-def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
-                      bracket=(5.0, 60.0), convention=None):
+# Second mounting angles (degrees) searched by solve_alpha_prime; M is
+# monotone over this range for grazing-style designs.
+ALPHA_PRIME_BRACKET = (5.0, 60.0)
+
+
+def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index):
     """Solve the second mounting angle producing expansion ``target``.
 
-    Bisection on the documented default bracket (5 to 60 degrees, where M
-    is monotone for grazing-style designs).  If the bracket endpoints do
+    Bisection on ``ALPHA_PRIME_BRACKET``.  If the bracket endpoints do
     not straddle the target, an :class:`UnachievableTargetError` reports
     the achievable range on the bracket; an interval over which M is flat
     at the target returns an endpoint flagged as degenerate.
     """
     if not (target > 0.0 and math.isfinite(target)):
         raise ValidationError(f"target expansion must be positive and finite, got {target}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValidationError(f"bracket must be an increasing pair, got {bracket}")
-    conv = convention or calibrated_convention()
+    lo, hi = ALPHA_PRIME_BRACKET
 
     def m_of(ap):
-        return expansion_factor(
-            PrismPairDesign(alpha, ap, beta, beta_prime, refractive_index), convention=conv,
-        )
+        return expansion_factor(PrismPairDesign(alpha, ap, beta, beta_prime, refractive_index))
 
     def m_or_nan(ap):
         try:
@@ -311,7 +265,7 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
                    f"feasible M range on bracket: {min(feas):.4g}..{max(feas):.4g}")
             achievable = (min(feas), max(feas))
         else:
-            msg = f"no feasible geometry on bracket {bracket}"
+            msg = f"no feasible geometry on bracket {ALPHA_PRIME_BRACKET}"
             achievable = (math.nan, math.nan)
         raise UnachievableTargetError(msg, achievable=achievable)
 
@@ -319,15 +273,14 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
     rel = 1e-6
     if abs(g_lo) <= rel * target and abs(g_hi) <= rel * target:
         # Flat at the target across the whole interval: degenerate solve.
-        return AlphaPrimeSolution(alpha_prime=lo, expansion=m_lo, degenerate=True,
-                                  convention=conv)
+        return AlphaPrimeSolution(alpha_prime=lo, expansion=m_lo, degenerate=True)
     if g_lo == 0.0:
-        return AlphaPrimeSolution(lo, m_lo, False, conv)
+        return AlphaPrimeSolution(lo, m_lo, False)
     if g_hi == 0.0:
-        return AlphaPrimeSolution(hi, m_hi, False, conv)
+        return AlphaPrimeSolution(hi, m_hi, False)
     if g_lo * g_hi > 0.0:
         raise UnachievableTargetError(
-            f"target M = {target} not achievable on bracket {bracket}; "
+            f"target M = {target} not achievable on bracket {ALPHA_PRIME_BRACKET}; "
             f"achievable range {min(m_lo, m_hi):.4g}..{max(m_lo, m_hi):.4g}",
             achievable=(min(m_lo, m_hi), max(m_lo, m_hi)),
         )
@@ -349,8 +302,7 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
         raise ConvergenceError(
             f"bisection stopped at alpha' = {mid:.6g} deg with M = {m_mid:.6g}, "
             f"not within {rel:g} of the target {target}")
-    return AlphaPrimeSolution(alpha_prime=mid, expansion=m_mid, degenerate=False,
-                              convention=conv)
+    return AlphaPrimeSolution(alpha_prime=mid, expansion=m_mid, degenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +312,20 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index,
 _SENSITIVITY_STEP = 1e-4  # degrees, central differences
 
 
-def sensitivity(design, convention=None):
+def sensitivity(design):
     """Relative derivative of M per mounting angle, percent per degree.
 
     Returns ``{angle_name: 100 * d ln M / d angle}`` (signed) evaluated
     by central differences at the design point.
     """
-    conv = convention or calibrated_convention()
     base = list(design.angles())
     out = {}
     for i, name in enumerate(ANGLE_NAMES):
         plus, minus = list(base), list(base)
         plus[i] += _SENSITIVITY_STEP
         minus[i] -= _SENSITIVITY_STEP
-        m_plus = expansion_factor(
-            PrismPairDesign(*plus, design.refractive_index), convention=conv)
-        m_minus = expansion_factor(
-            PrismPairDesign(*minus, design.refractive_index), convention=conv)
+        m_plus = expansion_factor(PrismPairDesign(*plus, design.refractive_index))
+        m_minus = expansion_factor(PrismPairDesign(*minus, design.refractive_index))
         out[name] = 100.0 * (math.log(m_plus) - math.log(m_minus)) / (2.0 * _SENSITIVITY_STEP)
     return out
 
@@ -412,7 +361,6 @@ class ToleranceReport:
     """
 
     design_expansion: float
-    convention: str
     samples: int
     feasible_samples: int
     infeasible_samples: int
@@ -431,8 +379,7 @@ class ToleranceReport:
 _MC_CHUNK = 65536
 
 
-def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
-                          keep_values=False):
+def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
     """Uniform Monte-Carlo sweep of mounting errors.
 
     Each sample draws the four angle errors independently and uniformly
@@ -444,8 +391,7 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    conv = convention or calibrated_convention()
-    m0 = expansion_factor(design, convention=conv)
+    m0 = expansion_factor(design)
     tol = np.asarray(tolerances.as_tuple(), dtype=float)
     base = np.asarray(design.angles(), dtype=float)
     n = design.refractive_index
@@ -453,7 +399,7 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
     def eval_points(offsets):
         angles = base[None, :] + offsets
         values, surface = _expansion_many(
-            angles[:, 0], angles[:, 1], angles[:, 2], angles[:, 3], n, conv)
+            angles[:, 0], angles[:, 1], angles[:, 2], angles[:, 3], n)
         return values, surface
 
     mean_acc = sq_acc = 0.0
@@ -483,7 +429,7 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
             np.add(-1.0, np.multiply(u[:, j], 2.0, out=a), out=a)
             np.add(base[j], np.multiply(a, tol[j], out=a), out=a)
         values, surface = _expansion_many(
-            *angles, n, conv, tuple(b[..., :count] for b in buffers))
+            *angles, n, tuple(b[..., :count] for b in buffers))
         good = np.equal(surface, 0, out=buffers[-1][:count])
         k = int(np.count_nonzero(good))
         feasible += k
@@ -539,7 +485,6 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, convention=None,
     var = max(sq_acc / feasible - mean**2, 0.0)
     return ToleranceReport(
         design_expansion=m0,
-        convention=conv,
         samples=samples,
         feasible_samples=feasible,
         infeasible_samples=infeasible,

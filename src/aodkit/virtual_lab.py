@@ -12,7 +12,7 @@ are reproducible for a given seed and independent of evaluation order.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,20 +62,20 @@ class RabiDrive:
         return math.pi / self.peak_rabi
 
 
-def rabi_probability(drive, t):
-    """Two-level excitation probability after driving for time ``t``.
+def _excitation(rates, detuning, t):
+    """Generalised Rabi formula, element-wise over broadcast arrays.
 
     ``P1 = (omega^2 / omega_g^2) sin^2(omega_g t / 2)`` with the
     generalised rate ``omega_g = sqrt(omega^2 + delta^2)``; zero drive
-    returns zero.
+    (``omega_g = 0``, hence ``omega = 0``) gives zero.
     """
-    om, dl = drive.peak_rabi, drive.detuning
-    og = math.hypot(om, dl)
-    t = np.asarray(t, dtype=float)
-    if og == 0.0:
-        p = np.zeros(t.shape)
-    else:
-        p = (om / og) ** 2 * np.sin(0.5 * og * t) ** 2
+    og = np.hypot(rates, detuning)
+    return (rates / np.where(og > 0.0, og, 1.0)) ** 2 * np.sin(0.5 * og * t) ** 2
+
+
+def rabi_probability(drive, t):
+    """Two-level excitation probability after driving for time ``t``."""
+    p = _excitation(drive.peak_rabi, drive.detuning, np.asarray(t, dtype=float))
     return float(p) if np.ndim(t) == 0 else p
 
 
@@ -92,7 +92,6 @@ class ScanTrace:
     values: np.ndarray
     shots: int = None  # type: ignore[assignment]
     seed: int = None  # type: ignore[assignment]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("frequency", "time", "extra_time"):
@@ -131,7 +130,7 @@ def _resolve_seed(shots, seed):
     return seed
 
 
-def _check_grid(name, x, allow_negative=False):
+def _check_grid(name, x):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError(f"{name} must hold at least two points")
@@ -139,7 +138,7 @@ def _check_grid(name, x, allow_negative=False):
         raise ValidationError(f"{name} must be finite")
     if not np.all(np.diff(arr) > 0.0):
         raise ValidationError(f"{name} must be strictly increasing")
-    if not allow_negative and arr[0] < 0.0:
+    if arr[0] < 0.0:
         raise ValidationError(f"{name} must be non-negative")
     return arr
 
@@ -243,22 +242,10 @@ def simulate_profile_scan(ion_waist, steering_efficiency, drive, frequencies,
 
     offsets = steering_efficiency * (freqs - center_frequency)
     rates = drive.peak_rabi * relative_rate(ion_waist, offsets, mode=mode)
-    p1 = np.array([
-        _measure(rabi_probability(replace(drive, peak_rabi=r), drive.duration),
-                 shots, seed, i)
-        for i, r in enumerate(rates)
-    ])
-    return ScanTrace(
-        kind="frequency", x=freqs, values=p1, shots=shots, seed=seed,
-        meta={
-            "ion_waist": float(ion_waist),
-            "steering_efficiency": float(steering_efficiency),
-            "center_frequency": float(center_frequency),
-            "peak_rabi": float(drive.peak_rabi),
-            "duration": float(drive.duration),
-            "mode": mode,
-        },
-    )
+    p1 = _excitation(rates, drive.detuning, drive.duration)
+    if shots is not None:
+        p1 = np.array([_measure(p, shots, seed, i) for i, p in enumerate(p1)])
+    return ScanTrace(kind="frequency", x=freqs, values=p1, shots=shots, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -376,12 +363,7 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
 
     offsets = positions[:, None] - spots[None, :]
     rates = drive.peak_rabi * relative_rate(ion_waist, offsets, mode=mode)
-    og = np.hypot(rates, drive.detuning)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p1 = np.where(og > 0.0,
-                      (rates / np.where(og > 0.0, og, 1.0)) ** 2
-                      * np.sin(0.5 * og * drive.duration) ** 2,
-                      0.0)
+    p1 = _excitation(rates, drive.detuning, drive.duration)
     if shots is not None:
         noisy = np.empty_like(p1)
         for i in range(p1.shape[0]):
@@ -389,18 +371,8 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
                 noisy[i, j] = _measure(p1[i, j], shots, seed, j, i)
         p1 = noisy
 
-    envelope = ScanTrace(
-        kind="frequency", x=freqs, values=p1.max(axis=0), shots=shots, seed=seed,
-        meta={
-            "ion_count": len(chain),
-            "ion_waist": float(ion_waist),
-            "steering_efficiency": float(steering_efficiency),
-            "center_frequency": float(center_frequency),
-            "peak_rabi": float(drive.peak_rabi),
-            "duration": float(drive.duration),
-            "mode": mode,
-        },
-    )
+    envelope = ScanTrace(kind="frequency", x=freqs, values=p1.max(axis=0), shots=shots,
+                         seed=seed)
     return ChainScanResult(envelope=envelope, per_ion=p1, ion_positions=positions)
 
 
@@ -549,13 +521,11 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
     target_times = np.linspace(0.0, 2.0 * pi_time, times.size)
 
     def trace_for(ion, grid, tag):
-        d = replace(drive, peak_rabi=float(rates[ion]))
-        p = rabi_probability(d, grid)
+        p = _excitation(rates[ion], drive.detuning, grid)
         vals = np.array([
             _measure(p[k], shots, seed, tag, ion, k) for k in range(grid.size)
         ]) if shots is not None else p
-        return ScanTrace(kind="time", x=grid, values=vals, shots=shots, seed=seed,
-                         meta={"ion": ion, "true_rabi": float(rates[ion]), "mode": mode})
+        return ScanTrace(kind="time", x=grid, values=vals, shots=shots, seed=seed)
 
     target_trace = trace_for(target_index, target_times, 0)
     neighbor_traces = tuple(
@@ -620,9 +590,6 @@ class PureDelay:
     def area(self, duration):
         return np.maximum(np.asarray(duration, dtype=float) - self.delay, 0.0)
 
-    def describe(self):
-        return {"model": "pure_delay", "delay": float(self.delay)}
-
 
 @dataclass(frozen=True)
 class TransitRamp:
@@ -633,10 +600,6 @@ class TransitRamp:
 
     def area(self, duration):
         return aod_model.ramp_area(self.spec, duration, model=self.kind)
-
-    def describe(self):
-        return {"model": "transit_ramp", "kind": self.kind,
-                "switch_time": aod_model.theoretical_switch_time(self.spec)}
 
 
 @dataclass(frozen=True)
@@ -696,17 +659,10 @@ def simulate_switching_experiment(sequence, extra_times, shots=None, seed=None):
         p1_ion0 = np.array([_measure(p, shots, seed, i, 0) for i, p in enumerate(p1_ion0)])
         p1_ion1 = np.array([_measure(p, shots, seed, i, 1) for i, p in enumerate(p1_ion1)])
 
-    meta = {"sequence": sequence.model.describe(),
-            "pi2_time_ion0": float(sequence.pi2_time_ion0),
-            "pi2_time_ion1": float(sequence.pi2_time_ion1),
-            "settle_time": float(sequence.settle_time)}
-    ion0 = ScanTrace(kind="extra_time", x=extra, values=p1_ion0, shots=shots,
-                     seed=seed, meta=dict(meta, ion=0))
-    ion1 = ScanTrace(kind="extra_time", x=extra, values=p1_ion1, shots=shots,
-                     seed=seed, meta=dict(meta, ion=1))
+    ion0 = ScanTrace(kind="extra_time", x=extra, values=p1_ion0, shots=shots, seed=seed)
+    ion1 = ScanTrace(kind="extra_time", x=extra, values=p1_ion1, shots=shots, seed=seed)
     delta = ScanTrace(kind="extra_time", x=extra,
-                      values=np.abs(p1_ion0 - p1_ion1), shots=shots, seed=seed,
-                      meta=dict(meta, ion="delta"))
+                      values=np.abs(p1_ion0 - p1_ion1), shots=shots, seed=seed)
     return SwitchingResult(ion0=ion0, ion1=ion1, delta=delta)
 
 

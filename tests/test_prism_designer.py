@@ -37,8 +37,13 @@ MC_STATS = {
 }
 
 
-def _snell_chain(alpha, alpha_prime, beta, beta_prime, n):
-    """Independent four-surface recurrence (grazing-referenced incidence)."""
+def _snell_chain(alpha, alpha_prime, beta, beta_prime, n, grazing=True):
+    """Independent four-surface recurrence.
+
+    ``grazing`` reads alpha and alpha' as grazing angles (incidence from
+    the normal is 90 deg minus them), the model's convention; False reads
+    them as incidences from the face normals.
+    """
     def refract(theta_inc, n_ratio):
         s = math.sin(math.radians(theta_inc)) * n_ratio
         if abs(s) > 1.0:
@@ -46,10 +51,10 @@ def _snell_chain(alpha, alpha_prime, beta, beta_prime, n):
         theta_out = math.degrees(math.asin(s))
         return theta_out, math.cos(math.radians(theta_out)) / math.cos(math.radians(theta_inc))
 
-    th1 = 90.0 - alpha
+    th1 = 90.0 - alpha if grazing else alpha
     th2, m1 = refract(th1, 1.0 / n)
     th4, m2 = refract(th2 - beta, n)
-    th1b = (90.0 - alpha_prime) + th4
+    th1b = (90.0 - alpha_prime if grazing else alpha_prime) + th4
     if abs(th1b) >= 90.0:
         raise ValueError("ray misses the second prism entry face")
     th2b, m3 = refract(th1b, 1.0 / n)
@@ -85,11 +90,15 @@ def test_random_designs_match_independent_recurrence():
         checked += 1
 
 
-def test_calibration_picks_grazing_chain():
-    # the alternative incidence convention misses the reference expansion by 4.6x
-    assert pz.calibrated_convention() == "grazing-chained"
-    assert pz.expansion_factor(ANCHOR, convention="normal-chained") == pytest.approx(
-        NORMAL_CHAIN_ANCHOR_M, rel=1e-12)
+def test_anchor_rejects_normal_referenced_angles():
+    # why the model reads alpha and alpha' as grazing angles: only that
+    # reading reproduces the 4.7 reference expansion; the normal-referenced
+    # one misses it by 4.6x
+    angles = pz.ANCHOR_DESIGN_ANGLES
+    assert _snell_chain(*angles) == pytest.approx(ANCHOR_M, rel=1e-12)
+    normal = _snell_chain(*angles, grazing=False)
+    assert normal == pytest.approx(NORMAL_CHAIN_ANCHOR_M, rel=1e-12)
+    assert abs(normal - pz.ANCHOR_EXPANSION) > 0.15 * pz.ANCHOR_EXPANSION
 
 
 def test_unit_index_gives_unit_expansion():
@@ -126,7 +135,6 @@ def test_solve_alpha_prime_round_trip():
     sol = pz.solve_alpha_prime(ANCHOR_M, 39.0, 30.0, 30.0, 1.476)
     assert sol.alpha_prime == pytest.approx(14.75, abs=1e-5)
     assert not sol.degenerate
-    assert sol.convention == "grazing-chained"
 
 
 def test_solve_alpha_prime_for_target():
@@ -145,9 +153,9 @@ def test_solve_alpha_prime_unachievable():
 def test_solve_alpha_prime_reports_failed_bisection(monkeypatch):
     # a step in M that bisection can bracket but never meet
     monkeypatch.setattr(pz, "expansion_factor",
-                        lambda design, convention=None: 1.0 if design.alpha_prime < 20.0 else 3.0)
+                        lambda design: 1.0 if design.alpha_prime < 20.0 else 3.0)
     with pytest.raises(ConvergenceError):
-        pz.solve_alpha_prime(2.0, 39.0, 30.0, 30.0, 1.476, convention="grazing-chained")
+        pz.solve_alpha_prime(2.0, 39.0, 30.0, 30.0, 1.476)
 
 
 @pytest.mark.parametrize("build", [
@@ -243,7 +251,7 @@ def test_monte_carlo_chunk_buffers_match_fresh_draws():
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, chunk))))
         offsets = rng.uniform(-1.0, 1.0, size=(count, 4)) * np.asarray(tol.as_tuple())
         angles = np.asarray(ANCHOR.angles()) + offsets
-        values, surface = pz._expansion_many(*angles.T, ANCHOR.refractive_index, "grazing-chained")
+        values, surface = pz._expansion_many(*angles.T, ANCHOR.refractive_index)
         kept.append(values[surface == 0])
         sums.append(float(kept[-1].sum()))
         done += count

@@ -63,6 +63,10 @@ def test_profile_fit_rejects_detuned_drive(detuning_mhz):
     drive = vl.RabiDrive.from_pi_time(2000e-9, detuning=2 * math.pi * detuning_mhz * 1e6)
     freqs = np.linspace(145e6, 155e6, 201)
     trace = vl.simulate_profile_scan(1.57e-6, STEERING_EFF, drive, freqs, 150e6)
+    # the chain scan of one ion at the centre sees the same detuned drive
+    one_ion = vl.simulate_chain_scan(aa.IonChain.uniform(1, 3.8e-6), 1.57e-6, STEERING_EFF,
+                                     drive, freqs, 150e6)
+    assert np.allclose(one_ion.per_ion[0], trace.values, rtol=1e-14, atol=0.0)
     with pytest.raises(ValidationError, match="detuning"):
         vl.fit_gaussian_profile(trace, drive, STEERING_EFF)
 
