@@ -9,7 +9,7 @@ default coupling mode is ``"intensity"`` (rate ratio
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class CrosstalkMatrix:
     beam_centers: np.ndarray
     waist: float
     mode: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -102,6 +101,8 @@ def crosstalk_matrix(chain, waist, beam_centers=None, mode="intensity"):
     """
     _check_mode(mode)
     centers = chain.array if beam_centers is None else np.asarray(beam_centers, dtype=float)
+    if not np.isfinite(centers).all():
+        raise ValidationError("beam_centers must be finite")
     offsets = chain.array[:, None] - centers[None, :]
     values = relative_rate(waist, offsets, mode=mode)
     return CrosstalkMatrix(
@@ -110,7 +111,6 @@ def crosstalk_matrix(chain, waist, beam_centers=None, mode="intensity"):
         beam_centers=centers,
         waist=waist,
         mode=mode,
-        meta={"model": "ideal-gaussian"},
     )
 
 
@@ -159,11 +159,6 @@ def clipped_crosstalk(chain, ion_plane_waist, clipping_ratio, *,
         beam_centers=positions,
         waist=ion_plane_waist,
         mode=mode,
-        meta={
-            "model": "clipped-aperture",
-            "clipping_ratio": rho,
-            "collimated_waist": float(collimated_waist),
-        },
     )
 
 
@@ -175,10 +170,10 @@ def misalignment_imbalance(mis_angle, half_range, perpendicular_waist):
     (``half_range`` from the centre ion) the intensity drops by
     ``1 - exp(-2 (half_range sin(mis_angle) / w_perp)^2)``.
     """
-    if perpendicular_waist <= 0.0:
-        raise ValidationError("perpendicular_waist must be positive")
-    if half_range < 0.0:
-        raise ValidationError("half_range must be >= 0")
+    if not (perpendicular_waist > 0.0 and math.isfinite(perpendicular_waist)):
+        raise ValidationError("perpendicular_waist must be positive and finite")
+    if not (half_range >= 0.0 and math.isfinite(half_range) and math.isfinite(mis_angle)):
+        raise ValidationError("half_range and mis_angle must be finite, half_range >= 0")
     excursion = half_range * math.sin(mis_angle)
     return 1.0 - math.exp(-2.0 * (excursion / perpendicular_waist) ** 2)
 

@@ -88,9 +88,9 @@ class AstigmaticBeam:
             )
 
     @classmethod
-    def circular(cls, wavelength, waist_radius, waist_position=0.0):
-        """Stigmatic beam with identical x and z waists."""
-        ax = BeamAxis(waist_radius=waist_radius, waist_position=waist_position)
+    def circular(cls, wavelength, waist_radius):
+        """Stigmatic beam with identical x and z waists at the reference plane."""
+        ax = BeamAxis(waist_radius=waist_radius)
         return cls(wavelength=wavelength, x=ax, z=ax)
 
     def axis(self, axis):

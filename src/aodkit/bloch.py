@@ -13,6 +13,8 @@ carried as Python complex scalars: 2-element arrays cost several times
 more per step in numpy call overhead than the arithmetic itself.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -39,8 +41,10 @@ def excited_population(omega, detuning, duration, tol=1e-11):
     Accuracy is controlled by the per-step tolerance ``tol``; the
     default holds closed-form comparisons to well under 1e-8.
     """
-    if duration < 0.0:
-        raise ValidationError("duration must be >= 0")
+    if not (duration >= 0.0 and math.isfinite(duration)):
+        raise ValidationError("duration must be finite and >= 0")
+    if not (math.isfinite(detuning) and (callable(omega) or math.isfinite(omega))):
+        raise ValidationError("omega and detuning must be finite")
     if duration == 0.0:
         return 0.0
 

@@ -36,6 +36,10 @@ class RunContext:
             self.generated_seed = True
         return self.seed
 
+    def seed_for(self, shots):
+        """Seed of an experiment: a noisy one (``shots`` set) needs one."""
+        return self.require_seed() if shots is not None else self.seed
+
 
 def _require(cfg, *sections):
     missing = [s for s in sections if getattr(cfg, s, None) is None]
@@ -296,7 +300,7 @@ def cmd_monitor(ctx):
     eta = aod_model.diffraction_efficiency(spec, freqs)
     volts = aod_model.monitor_voltage(chain, power, eta)
 
-    gain = power * chain.sample_fraction * chain.responsivity * chain.transimpedance_gain
+    gain = aod_model.monitor_voltage(chain, power, 1.0)
     linearity = float(np.max(np.abs(volts / gain - eta)))
 
     csv = report_io.write_csv(
@@ -410,25 +414,26 @@ def cmd_misalign(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _scan_inputs(cfg, setup):
+    """Steering efficiency, drive and frequency grid of a frequency scan."""
+    eff = _steering_efficiency(cfg, setup.steering_efficiency)
+    drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.drive_time)
+    freqs = np.linspace(setup.frequency_start, setup.frequency_stop, setup.points)
+    return eff, drive, freqs
+
+
 def cmd_lab_profile_scan(ctx):
     cfg = ctx.cfg
     setup = _require_experiment(cfg, "profile_scan")
-    eff = _steering_efficiency(cfg, setup.steering_efficiency)
-    seed = ctx.require_seed() if setup.shots is not None else ctx.seed
-
-    drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.drive_time)
-    freqs = np.linspace(setup.frequency_start, setup.frequency_stop, setup.points)
+    eff, drive, freqs = _scan_inputs(cfg, setup)
     mode = cfg.addressing.coupling if cfg.addressing else "intensity"
     trace = virtual_lab.simulate_profile_scan(
         setup.waist, eff, drive, freqs, setup.center_frequency,
-        shots=setup.shots, seed=seed, mode=mode)
+        shots=setup.shots, seed=ctx.seed_for(setup.shots), mode=mode)
     fit = virtual_lab.fit_gaussian_profile(trace, drive, eff, mode=mode)
-
-    off = eff * (freqs - fit.center_frequency)
-    power = 2.0 if mode == "intensity" else 1.0
-    fit_curve = np.sin(0.5 * fit.peak_rabi
-                       * np.exp(-power * off**2 / fit.waist**2)
-                       * setup.drive_time) ** 2
+    fit_curve = virtual_lab.simulate_profile_scan(
+        fit.waist, eff, virtual_lab.RabiDrive(fit.peak_rabi, setup.drive_time), freqs,
+        fit.center_frequency, mode=mode).values
 
     csv = report_io.write_csv(
         ctx.outdir, "lab_profile_scan.csv", ["f_mhz", "p1", "p1_fit"],
@@ -458,16 +463,12 @@ def cmd_lab_chain_scan(ctx):
     cfg = ctx.cfg
     _require(cfg, "chain", "addressing")
     setup = _require_experiment(cfg, "chain_scan")
-    eff = _steering_efficiency(cfg, setup.steering_efficiency)
-    seed = ctx.require_seed() if setup.shots is not None else ctx.seed
-
-    drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.drive_time)
-    freqs = np.linspace(setup.frequency_start, setup.frequency_stop, setup.points)
+    eff, drive, freqs = _scan_inputs(cfg, setup)
     aod_center = cfg.aod.center_frequency if cfg.aod else 0.5 * (
         setup.frequency_start + setup.frequency_stop)
     scan = virtual_lab.simulate_chain_scan(
         cfg.chain, cfg.addressing.ion_waist, eff, drive, freqs, aod_center,
-        shots=setup.shots, seed=seed, mode=cfg.addressing.coupling)
+        shots=setup.shots, seed=ctx.seed_for(setup.shots), mode=cfg.addressing.coupling)
     peaks = virtual_lab.count_resolved_peaks(scan.envelope)
 
     csv = report_io.write_csv(
@@ -500,14 +501,13 @@ def cmd_lab_crosstalk(ctx):
             "crosstalk target outside the chain",
             [f"config.experiments.crosstalk.target_ion: {setup.target_ion} "
              f"but the chain holds {len(cfg.chain)} ions"])
-    seed = ctx.require_seed() if setup.shots is not None else ctx.seed
 
     drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.pi_time)
     times = np.linspace(0.0, setup.max_time, setup.points)
     mode = cfg.addressing.coupling
     exp = virtual_lab.simulate_crosstalk_experiment(
         cfg.chain, cfg.addressing.ion_waist, setup.target_ion, times, drive,
-        shots=setup.shots, seed=seed, mode=mode)
+        shots=setup.shots, seed=ctx.seed_for(setup.shots), mode=mode)
 
     positions = cfg.chain.array
     ideal = addressing.relative_rate(
@@ -565,7 +565,6 @@ def cmd_lab_switching(ctx):
             "switching sweep is empty",
             ["config.experiments.switching: extra_time_stop_ns must exceed "
              "extra_time_start_ns"])
-    seed = ctx.require_seed() if setup.shots is not None else ctx.seed
 
     if setup.model == "pure_delay":
         model = virtual_lab.PureDelay(setup.switch_delay)
@@ -579,7 +578,7 @@ def cmd_lab_switching(ctx):
         model=model, settle_time=setup.settle_time)
     extra = np.linspace(setup.extra_start, setup.extra_stop, setup.points)
     res = virtual_lab.simulate_switching_experiment(seq, extra, shots=setup.shots,
-                                                    seed=seed)
+                                                    seed=ctx.seed_for(setup.shots))
     fit = virtual_lab.fit_switch_time(res.delta)
 
     csv = report_io.write_csv(

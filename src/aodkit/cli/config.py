@@ -72,6 +72,9 @@ class _Section:
             self.violations.append(
                 f"{self.path}.{key}: expected {names}, got {type(v).__name__}")
             return default
+        if isinstance(v, float) and not math.isfinite(v):
+            self.violations.append(f"{self.path}.{key}: must be finite")
+            return default
         if choices is not None and v not in choices:
             self.violations.append(
                 f"{self.path}.{key}: must be one of {sorted(choices)}, got {v!r}")
@@ -122,27 +125,18 @@ class AddressingSection:
 
 
 @dataclass(frozen=True)
-class ProfileScanSetup:
-    waist: float
+class ScanSetup:
+    """Frequency sweep; profile scans also inject ``waist`` and ``center_frequency``."""
+
     pi_time: float
     drive_time: float
-    center_frequency: float
     frequency_start: float
     frequency_stop: float
     points: int
     shots: int  # None for noiseless
     steering_efficiency: float  # None -> derive from the train
-
-
-@dataclass(frozen=True)
-class ChainScanSetup:
-    pi_time: float
-    drive_time: float
-    frequency_start: float
-    frequency_stop: float
-    points: int
-    shots: int
-    steering_efficiency: float
+    waist: float = None  # type: ignore[assignment]
+    center_frequency: float = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -169,8 +163,8 @@ class SwitchingSetup:
 
 @dataclass(frozen=True)
 class ExperimentsSection:
-    profile_scan: ProfileScanSetup
-    chain_scan: ChainScanSetup
+    profile_scan: ScanSetup
+    chain_scan: ScanSetup
     crosstalk: CrosstalkSetup
     switching: SwitchingSetup
 
@@ -372,6 +366,10 @@ def _build_chain(sec):
     spacing = sec.get("spacing_um", default=None, check=_positive, scale=UM)
     center = sec.get("center_um", default=0.0, scale=UM)
     sec.finish()
+    if positions is not None and (count is not None or spacing is not None):
+        sec.violations.append(
+            f"{sec.path}: give either positions_um or count and spacing_um, not both")
+        return None
     if positions is not None:
         bad = [p for p in positions if isinstance(p, bool) or not isinstance(p, (int, float))]
         if bad:
@@ -421,45 +419,40 @@ def _get_shots(sec):
     return int(shots) if shots is not None else None
 
 
+def _scan_setup(sec, default_points, **beam):
+    """The seven keys every frequency scan shares, plus ``beam`` as given."""
+    setup = ScanSetup(
+        pi_time=sec.get("pi_time_ns", required=True, check=_positive, scale=NS),
+        drive_time=sec.get("drive_time_ns", required=True, check=_positive, scale=NS),
+        frequency_start=sec.get("frequency_start_mhz", required=True, check=_positive,
+                                scale=MHZ),
+        frequency_stop=sec.get("frequency_stop_mhz", required=True, check=_positive,
+                               scale=MHZ),
+        points=sec.get("points", default=default_points, types=(int,),
+                       check=lambda v: None if v >= 4 else "need at least 4 points"),
+        shots=_get_shots(sec),
+        steering_efficiency=sec.get("steering_efficiency_um_per_mhz", default=None,
+                                    check=_nonzero, scale=UM / MHZ),
+        **beam,
+    )
+    sec.finish()
+    return setup
+
+
 def _build_experiments(sec):
     profile = chain_scan = crosstalk = switching = None
 
     ps = sec.subsection("profile_scan")
     if ps is not None:
-        profile = ProfileScanSetup(
+        profile = _scan_setup(
+            ps, 201,
             waist=ps.get("waist_um", required=True, check=_positive, scale=UM),
-            pi_time=ps.get("pi_time_ns", required=True, check=_positive, scale=NS),
-            drive_time=ps.get("drive_time_ns", required=True, check=_positive, scale=NS),
             center_frequency=ps.get("beam_center_mhz", required=True, check=_positive,
-                                    scale=MHZ),
-            frequency_start=ps.get("frequency_start_mhz", required=True, check=_positive,
-                                   scale=MHZ),
-            frequency_stop=ps.get("frequency_stop_mhz", required=True, check=_positive,
-                                  scale=MHZ),
-            points=ps.get("points", default=201, types=(int,),
-                          check=lambda v: None if v >= 4 else "need at least 4 points"),
-            shots=_get_shots(ps),
-            steering_efficiency=ps.get("steering_efficiency_um_per_mhz", default=None,
-                                       check=_nonzero, scale=UM / MHZ),
-        )
-        ps.finish()
+                                    scale=MHZ))
 
     cs = sec.subsection("chain_scan")
     if cs is not None:
-        chain_scan = ChainScanSetup(
-            pi_time=cs.get("pi_time_ns", required=True, check=_positive, scale=NS),
-            drive_time=cs.get("drive_time_ns", required=True, check=_positive, scale=NS),
-            frequency_start=cs.get("frequency_start_mhz", required=True, check=_positive,
-                                   scale=MHZ),
-            frequency_stop=cs.get("frequency_stop_mhz", required=True, check=_positive,
-                                  scale=MHZ),
-            points=cs.get("points", default=1601, types=(int,),
-                          check=lambda v: None if v >= 4 else "need at least 4 points"),
-            shots=_get_shots(cs),
-            steering_efficiency=cs.get("steering_efficiency_um_per_mhz", default=None,
-                                       check=_nonzero, scale=UM / MHZ),
-        )
-        cs.finish()
+        chain_scan = _scan_setup(cs, 1601)
 
     ct = sec.subsection("crosstalk")
     if ct is not None:

@@ -6,9 +6,14 @@ with closed-form two-level dynamics, optional binomial shot noise and a
 deterministic seeding scheme, then provides the matching fit routines so
 generated data round-trip back to the injected parameters.
 
-Shot noise draws ``binomial(shots, P1) / shots`` per point from a
-generator seeded with ``SeedSequence((seed, point index, ...))``: traces
-are reproducible for a given seed and independent of evaluation order.
+All shot noise goes through :func:`_readout`: point ``index`` reads
+``binomial(shots, P1) / shots`` from the numpy seed sequence of entropy
+``(seed, *key, *index)``, reproducible per seed and independent of
+evaluation order.  Keys: profile ``(i)``; chain ``(frequency j, ion i)``;
+crosstalk ``(0, ion, k)`` on the target grid and ``(1, ion, k)`` on the
+long grid; switching ``(i, ion)``.  The seed sequence pads short entropy
+with zeros, so ``(seed, i)`` equals ``(seed, i, 0)``: profile point i,
+chain point (i, ion 0) and switching ion-0 point i share their noise.
 """
 
 import math
@@ -47,13 +52,11 @@ class RabiDrive:
             raise ValidationError("detuning must be finite")
 
     @classmethod
-    def from_pi_time(cls, pi_time, duration=None, detuning=0.0):
-        """Drive whose resonant pi time is ``pi_time`` (s)."""
+    def from_pi_time(cls, pi_time):
+        """Resonant pi pulse of length ``pi_time`` (s)."""
         if pi_time <= 0.0:
             raise ValidationError("pi_time must be positive")
-        peak = math.pi / pi_time
-        return cls(peak_rabi=peak, duration=pi_time if duration is None else duration,
-                   detuning=detuning)
+        return cls(peak_rabi=math.pi / pi_time, duration=pi_time)
 
     @property
     def pi_time(self):
@@ -79,6 +82,11 @@ def rabi_probability(drive, t):
     return float(p) if np.ndim(t) == 0 else p
 
 
+def _resonant_rate(p1, t):
+    """Rabi rate whose resonant pulse of length ``t`` excites to ``p1``."""
+    return 2.0 * math.asin(math.sqrt(min(p1, 1.0))) / t
+
+
 @dataclass(frozen=True)
 class ScanTrace:
     """One measured curve: P1 (or |P1 difference|) against a swept variable.
@@ -91,7 +99,6 @@ class ScanTrace:
     x: np.ndarray
     values: np.ndarray
     shots: int = None  # type: ignore[assignment]
-    seed: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.kind not in ("frequency", "time", "extra_time"):
@@ -112,22 +119,21 @@ class ScanTrace:
         object.__setattr__(self, "values", v)
 
 
-def _measure(p, shots, seed, *index):
-    """Apply binomial projection noise; noiseless when shots is None."""
+def _readout(p, shots, seed, *key):
+    """Binomial readout of ``p`` keyed as the module docstring says; a
+    missing seed counts as 0, and ``shots`` None returns ``p`` itself."""
     if shots is None:
-        return float(p)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, *index))))
-    return rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
-
-
-def _resolve_seed(shots, seed):
-    if shots is None:
-        return seed
+        return p
     seed = 0 if seed is None else int(seed)
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
-    return seed
+    p = np.clip(p, 0.0, 1.0)
+    out = np.empty(p.shape)
+    for index in np.ndindex(p.shape):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, *key, *index))))
+        out[index] = rng.binomial(shots, p[index]) / shots
+    return out
 
 
 def _check_grid(name, x):
@@ -238,14 +244,11 @@ def simulate_profile_scan(ion_waist, steering_efficiency, drive, frequencies,
     each point reports P1 after driving for ``drive.duration``.
     """
     freqs = _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency)
-    seed = _resolve_seed(shots, seed)
-
     offsets = steering_efficiency * (freqs - center_frequency)
     rates = drive.peak_rabi * relative_rate(ion_waist, offsets, mode=mode)
     p1 = _excitation(rates, drive.detuning, drive.duration)
-    if shots is not None:
-        p1 = np.array([_measure(p, shots, seed, i) for i, p in enumerate(p1)])
-    return ScanTrace(kind="frequency", x=freqs, values=p1, shots=shots, seed=seed)
+    return ScanTrace(kind="frequency", x=freqs, values=_readout(p1, shots, seed),
+                     shots=shots)
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
 
     power = 2.0 if mode == "intensity" else 1.0
     f0_init = float(freqs[np.argmax(p1)])
-    om_init = 2.0 * math.asin(math.sqrt(min(peak, 1.0))) / t
+    om_init = _resonant_rate(peak, t)
     above = freqs[p1 >= 0.5 * peak]
     half_span = max(0.5 * (above[-1] - above[0]), abs(freqs[1] - freqs[0]))
     w_init = max(abs(steering_efficiency) * half_span, 1e-12)
@@ -335,7 +338,6 @@ class ChainScanResult:
 
     envelope: ScanTrace
     per_ion: np.ndarray
-    ion_positions: np.ndarray
 
 
 def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
@@ -350,8 +352,6 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
     the unreachable indices.
     """
     freqs = _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency)
-    seed = _resolve_seed(shots, seed)
-
     spots = steering_efficiency * (freqs - center_frequency)
     lo, hi = float(np.min(spots)), float(np.max(spots))
     positions = chain.array
@@ -364,25 +364,23 @@ def simulate_chain_scan(chain, ion_waist, steering_efficiency, drive,
     offsets = positions[:, None] - spots[None, :]
     rates = drive.peak_rabi * relative_rate(ion_waist, offsets, mode=mode)
     p1 = _excitation(rates, drive.detuning, drive.duration)
-    if shots is not None:
-        noisy = np.empty_like(p1)
-        for i in range(p1.shape[0]):
-            for j in range(p1.shape[1]):
-                noisy[i, j] = _measure(p1[i, j], shots, seed, j, i)
-        p1 = noisy
+    p1 = _readout(p1.T, shots, seed).T  # keyed (frequency, ion)
 
-    envelope = ScanTrace(kind="frequency", x=freqs, values=p1.max(axis=0), shots=shots,
-                         seed=seed)
-    return ChainScanResult(envelope=envelope, per_ion=p1, ion_positions=positions)
+    envelope = ScanTrace(kind="frequency", x=freqs, values=p1.max(axis=0), shots=shots)
+    return ChainScanResult(envelope=envelope, per_ion=p1)
 
 
-def count_resolved_peaks(trace, height=0.5, depth=0.5):
+PEAK_HEIGHT = 0.5  # a peak reaches this P1
+PEAK_DEPTH = 0.5  # valleys fall this fraction of PEAK_HEIGHT below it
+
+
+def count_resolved_peaks(trace):
     """Number of well-separated peaks in a scan trace.
 
     A peak is a local maximum (a flat top counts once) that reaches
-    ``height`` and is separated from its neighbours by valleys at least
-    ``depth * height`` below it: on each side, the trace must fall that
-    far before it climbs above the peak or ends.  This is the height and
+    ``PEAK_HEIGHT`` and is separated from its neighbours by valleys at
+    least ``PEAK_DEPTH * PEAK_HEIGHT`` below it: on each side, the trace
+    must fall that far before it climbs above the peak or ends.  This is the height and
     prominence rule of ``scipy.signal.find_peaks``, with one change for
     equal heights: the left-hand base search stops at a sample as high as
     the peak, while the right-hand search stops only at a strictly higher
@@ -396,14 +394,14 @@ def count_resolved_peaks(trace, height=0.5, depth=0.5):
     base).
     """
     x = trace.values
-    prominence = depth * height
+    prominence = PEAK_DEPTH * PEAK_HEIGHT
     # peak candidates: the first sample of every rise-then-fall plateau
     d = np.diff(x)
     steps = np.flatnonzero(d)
     rise = d[steps] > 0.0
     starts = steps[:-1][rise[:-1] & ~rise[1:]] + 1
     candidate = np.zeros(x.size + 1, dtype=bool)
-    candidate[starts[x[starts] >= height]] = True
+    candidate[starts[x[starts] >= PEAK_HEIGHT]] = True
 
     stack = []  # (value, minimum since the entry below, is a candidate)
     count = 0
@@ -443,7 +441,6 @@ class CrosstalkExperiment:
     bounded: np.ndarray
     target_trace: ScanTrace
     neighbor_traces: tuple
-    mode: str
 
 
 def _fit_sinusoid(times, p1):
@@ -460,7 +457,7 @@ def _fit_sinusoid(times, p1):
         om_fft = 2.0 * math.pi * k * (n - 1) / (span * n)
     else:
         om_fft = math.pi / span
-    om_growth = 2.0 * math.asin(math.sqrt(min(peak, 1.0))) / float(times[np.argmax(p1)] or span)
+    om_growth = _resonant_rate(peak, float(times[np.argmax(p1)] or span))
 
     def residuals(params):
         om, a = params
@@ -511,7 +508,6 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
         raise ValidationError(f"target_index {target_index} outside chain of {len(chain)}")
     if drive.peak_rabi <= 0.0:
         raise ValidationError("crosstalk experiment needs a nonzero drive")
-    seed = _resolve_seed(shots, seed)
 
     positions = chain.array
     offsets = np.abs(positions - positions[target_index])
@@ -522,10 +518,8 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
 
     def trace_for(ion, grid, tag):
         p = _excitation(rates[ion], drive.detuning, grid)
-        vals = np.array([
-            _measure(p[k], shots, seed, tag, ion, k) for k in range(grid.size)
-        ]) if shots is not None else p
-        return ScanTrace(kind="time", x=grid, values=vals, shots=shots, seed=seed)
+        return ScanTrace(kind="time", x=grid, values=_readout(p, shots, seed, tag, ion),
+                         shots=shots)
 
     target_trace = trace_for(target_index, target_times, 0)
     neighbor_traces = tuple(
@@ -547,7 +541,7 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
             # Never reached a quarter oscillation: report the rate that
             # would just produce the largest observed excitation by the
             # end of the grid (an upper bound; sin is concave there).
-            oms[i] = 2.0 * math.asin(math.sqrt(min(peak, 1.0))) / float(times[-1])
+            oms[i] = _resonant_rate(peak, float(times[-1]))
             sigs[i] = 0.0
             bounded[i] = True
         else:
@@ -568,7 +562,6 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
         bounded=bounded,
         target_trace=target_trace,
         neighbor_traces=neighbor_traces,
-        mode=mode,
     )
 
 
@@ -648,21 +641,15 @@ def simulate_switching_experiment(sequence, extra_times, shots=None, seed=None):
     the switching dead time.
     """
     extra = _check_grid("extra_times", extra_times)
-    seed = _resolve_seed(shots, seed)
-
     omega1 = 0.5 * math.pi / sequence.pi2_time_ion1
     phase = omega1 * np.asarray(sequence.model.area(sequence.pi2_time_ion1 + extra))
-    p1_ion1 = np.sin(0.5 * phase) ** 2
-    p1_ion0 = np.full(extra.shape, 0.5)
+    p1 = np.column_stack([np.full(extra.shape, 0.5), np.sin(0.5 * phase) ** 2])
+    p1_ion0, p1_ion1 = _readout(p1, shots, seed).T  # keyed (extra time, ion)
 
-    if shots is not None:
-        p1_ion0 = np.array([_measure(p, shots, seed, i, 0) for i, p in enumerate(p1_ion0)])
-        p1_ion1 = np.array([_measure(p, shots, seed, i, 1) for i, p in enumerate(p1_ion1)])
-
-    ion0 = ScanTrace(kind="extra_time", x=extra, values=p1_ion0, shots=shots, seed=seed)
-    ion1 = ScanTrace(kind="extra_time", x=extra, values=p1_ion1, shots=shots, seed=seed)
+    ion0 = ScanTrace(kind="extra_time", x=extra, values=p1_ion0, shots=shots)
+    ion1 = ScanTrace(kind="extra_time", x=extra, values=p1_ion1, shots=shots)
     delta = ScanTrace(kind="extra_time", x=extra,
-                      values=np.abs(p1_ion0 - p1_ion1), shots=shots, seed=seed)
+                      values=np.abs(p1_ion0 - p1_ion1), shots=shots)
     return SwitchingResult(ion0=ion0, ion1=ion1, delta=delta)
 
 
@@ -672,7 +659,6 @@ class SwitchTimeFit:
 
     switch_time: float
     sigma: float
-    minimum_index: int
 
 
 _FIT_HALF_WINDOW = 3
@@ -708,8 +694,4 @@ def fit_switch_time(trace):
     vertex = -b / (2.0 * a)
     grad = np.array([b / (2.0 * a * a), -1.0 / (2.0 * a)])
     var = float(grad @ cov[:2, :2] @ grad)
-    return SwitchTimeFit(
-        switch_time=t0 + vertex * dx,
-        sigma=math.sqrt(max(var, 0.0)) * dx,
-        minimum_index=i_min,
-    )
+    return SwitchTimeFit(t0 + vertex * dx, math.sqrt(max(var, 0.0)) * dx)

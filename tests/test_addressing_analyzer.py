@@ -102,7 +102,6 @@ def test_clipped_crosstalk_frozen_sweep():
     for ratio, expected in CLIPPED.items():
         mat = aa.clipped_crosstalk(chain, 1.5e-6, ratio)
         assert mat.worst_offdiagonal() == pytest.approx(expected, rel=1e-9), ratio
-        assert mat.meta["clipping_ratio"] == ratio
 
 
 def test_clipped_crosstalk_recovers_ideal_for_open_aperture():
@@ -140,7 +139,13 @@ def test_clipped_crosstalk_stable_at_large_offsets(ratio, mode):
     lambda: aa.relative_rate(math.nan, 1e-6),
     lambda: aa.IonChain((math.nan,)),
     lambda: vl.RabiDrive(math.nan, 1.0),
-], ids=["clipping_ratio", "ion_plane_waist", "waist", "ion_position", "peak_rabi"])
+    lambda: aa.misalignment_imbalance(math.nan, 75e-6, 8.5e-6),
+    lambda: aa.misalignment_imbalance(math.radians(1.0), 75e-6, math.inf),
+    lambda: aa.misalignment_imbalance(math.radians(1.0), math.nan, 8.5e-6),
+    lambda: aa.crosstalk_matrix(aa.IonChain.uniform(3, 3.8e-6), 1.5e-6,
+                                beam_centers=[0.0, math.nan, 1e-6]),
+], ids=["clipping_ratio", "ion_plane_waist", "waist", "ion_position", "peak_rabi",
+        "misalignment_angle", "perpendicular_waist", "half_range", "beam_centers"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

@@ -4,7 +4,11 @@
 check fails for a reason other than one of its two declared noisy-path
 defects (a failure with ``known`` None) makes the benchmark report wrong
 outputs.  This runs a few tiny ops of ``lab-noisy`` and ``design-sweep``
-so that a signature or output change shows here first.
+so that a signature or output change shows here first.  It also runs the
+benchmark's self-test paths in process: one op of each under its span
+tracer (which wraps library functions by name) and under its fault
+injection (which rebuilds ``ProfileFit`` and ``CrosstalkMatrix``
+positionally).
 """
 
 import os
@@ -28,6 +32,24 @@ def bench():
     return wl, wl.reference_system(common.CONFIG)
 
 
+@pytest.fixture(scope="module")
+def harness():
+    """perfbench's tracing and worker modules."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import tracing
+        import worker
+    finally:
+        sys.path.remove(PERFBENCH)
+    return tracing, worker
+
+
+def _one_op_each(wl, ref):
+    _, lab = wl.lab_campaign(wl.lab_tiny_inputs(1, 1)[0], ref, points=401)
+    _, design = wl.design_evaluation(wl.design_tiny_inputs(1, 1)[0], ref, mc_samples=70_000)
+    return lab.failures + design.failures
+
+
 def _unexpected(failures):
     return [f for f in failures if f[2] is None]
 
@@ -44,3 +66,33 @@ def test_design_evaluation_has_no_unexpected_failure(bench):
     for case in wl.design_tiny_inputs(1, 3):
         _, checks = wl.design_evaluation(case, ref, mc_samples=70_000)
         assert _unexpected(checks.failures) == [], case
+
+
+def test_traced_ops_count_and_have_no_unexpected_failure(bench, harness):
+    wl, ref = bench
+    tracer = harness[0].Tracer()
+    tracer.install(cli=True)
+    try:
+        failures = _one_op_each(wl, ref)
+    finally:
+        tracer.uninstall()
+    assert _unexpected(failures) == []
+    counted = {name for name, _value, _op in tracer.counters}
+    assert {"virtual_lab.noise_draws", "addressing_analyzer.clipped_crosstalk.offsets",
+            "prism_designer.tolerance_monte_carlo.samples"} <= counted, counted
+
+
+@pytest.mark.parametrize("workload, message", [
+    ("lab-noisy", "fitted waist off"), ("design-sweep", "crosstalk diagonal is not 1")])
+def test_injected_fault_trips_a_check(bench, harness, workload, message):
+    from aodkit import addressing_analyzer, virtual_lab
+
+    wl, ref = bench
+    saved = virtual_lab.fit_gaussian_profile, addressing_analyzer.crosstalk_matrix
+    try:
+        harness[1].InProcess(workload, 1, 0)._inject_fault()
+        failures = _one_op_each(wl, ref)
+    finally:
+        virtual_lab.fit_gaussian_profile, addressing_analyzer.crosstalk_matrix = saved
+    # the check trips on the wrong value, not on a raise of the rebuild
+    assert any(message in f[1] for f in _unexpected(failures)), failures

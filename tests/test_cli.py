@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main
 from aodkit.cli.commands import HANDLERS
@@ -134,6 +135,33 @@ def test_missing_experiment_section_lists_requirement(tmp_path, capsys):
     assert main(["lab", "switching", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
     assert "experiments" in capsys.readouterr().err
+
+
+def _edited_config(tmp_path, section, **values):
+    with open(CONFIG, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    data[section].update(values)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("misalign", "addressing", "misalignment_deg"),
+    ("trace", "input_beam", "waist_position_x_um"),
+    ("crosstalk", "chain", "center_um"),
+])
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, command, section, key):
+    cfg = _edited_config(tmp_path, section, **{key: float("nan")})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config.{section}.{key}: must be finite" in capsys.readouterr().err
+
+
+def test_chain_with_positions_and_count_is_a_config_error(tmp_path, capsys):
+    cfg = _edited_config(tmp_path, "chain", positions_um=[-3.8, 0.0, 3.8])
+    assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "give either positions_um or count and spacing_um, not both" in \
+        capsys.readouterr().err
 
 
 def test_rerun_is_byte_identical(tmp_path):

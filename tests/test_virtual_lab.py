@@ -5,6 +5,7 @@ import pytest
 
 from aodkit import addressing_analyzer as aa
 from aodkit import aod_model as am
+from aodkit import bloch
 from aodkit import virtual_lab as vl
 from aodkit.errors import OutOfRangeError, UnbracketedMinimumError, ValidationError
 
@@ -60,7 +61,7 @@ def test_profile_scan_noiseless_round_trip():
 def test_profile_fit_rejects_detuned_drive(detuning_mhz):
     # the resonant model would fit this noiseless scan 10 % (0.1 MHz) to
     # 40 % (0.3 MHz) too wide without any error
-    drive = vl.RabiDrive.from_pi_time(2000e-9, detuning=2 * math.pi * detuning_mhz * 1e6)
+    drive = vl.RabiDrive(math.pi / 2000e-9, 2000e-9, 2 * math.pi * detuning_mhz * 1e6)
     freqs = np.linspace(145e6, 155e6, 201)
     trace = vl.simulate_profile_scan(1.57e-6, STEERING_EFF, drive, freqs, 150e6)
     # the chain scan of one ion at the centre sees the same detuned drive
@@ -346,6 +347,54 @@ def test_switching_noise_determinism():
     assert not np.array_equal(a.ion1.values, c.ion1.values)
 
 
+def _draw(p, shots, seed, *key):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
+    return rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
+
+
+def test_noise_key_layout_per_experiment():
+    # every noisy point is one binomial draw from SeedSequence((seed, *key)),
+    # keyed per experiment as the virtual_lab docstring lists; a re-keying
+    # changes every noisy trace and must update this test on purpose
+    shots, seed = 200, 11
+    freqs = np.linspace(149e6, 151e6, 9)
+    clean = vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6)
+    noisy = vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6,
+                                     shots=shots, seed=seed)
+    assert np.array_equal(noisy.values,
+                          [_draw(p, shots, seed, i) for i, p in enumerate(clean.values)])
+
+    chain = aa.IonChain.uniform(3, 1.2e-6)
+    clean = vl.simulate_chain_scan(chain, 1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6)
+    noisy = vl.simulate_chain_scan(chain, 1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6,
+                                   shots=shots, seed=seed)
+    assert np.array_equal(noisy.per_ion, [[_draw(p, shots, seed, j, i)
+                                           for j, p in enumerate(row)]
+                                          for i, row in enumerate(clean.per_ion)])
+
+    chain = aa.IonChain.uniform(3, 2.5e-6)
+    times = np.linspace(0.0, 2.0e-4, 41)
+    drive = vl.RabiDrive.from_pi_time(4980e-9)
+    clean = vl.simulate_crosstalk_experiment(chain, 1.5e-6, 1, times, drive)
+    noisy = vl.simulate_crosstalk_experiment(chain, 1.5e-6, 1, times, drive,
+                                             shots=shots, seed=seed)
+    assert np.array_equal(noisy.target_trace.values,
+                          [_draw(p, shots, seed, 0, 1, k)
+                           for k, p in enumerate(clean.target_trace.values)])
+    for ion, (tn, tc) in enumerate(zip(noisy.neighbor_traces, clean.neighbor_traces)):
+        assert np.array_equal(tn.values, [_draw(p, shots, seed, 1, ion, k)
+                                          for k, p in enumerate(tc.values)])
+
+    seq = vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(238e-9))
+    grid = EXTRA_GRID[::20]
+    clean = vl.simulate_switching_experiment(seq, grid)
+    noisy = vl.simulate_switching_experiment(seq, grid, shots=shots, seed=seed)
+    for ion, (tn, tc) in enumerate(((noisy.ion0, clean.ion0), (noisy.ion1, clean.ion1))):
+        assert np.array_equal(tn.values, [_draw(p, shots, seed, i, ion)
+                                          for i, p in enumerate(tc.values)])
+    assert np.array_equal(noisy.delta.values, np.abs(noisy.ion0.values - noisy.ion1.values))
+
+
 def test_fit_switch_time_requires_interior_minimum():
     seq = vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(238e-9))
     beyond = np.linspace(600e-9, 900e-9, 61)
@@ -404,10 +453,14 @@ def _with(values, index, bad):
     lambda: vl.PureDelay(math.nan),
     lambda: vl.SwitchSequence(math.inf, 1740e-9, vl.PureDelay(238e-9)),
     lambda: vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(238e-9), settle_time=math.nan),
+    lambda: bloch.excited_population(1e6, 0.0, math.nan),
+    lambda: bloch.excited_population(math.inf, 0.0, 1e-6),
+    lambda: bloch.excited_population(1e6, math.nan, 1e-6),
 ], ids=["profile_waist", "profile_efficiency", "profile_center", "profile_frequencies",
         "chain_waist", "chain_efficiency", "chain_center", "chain_frequencies",
         "crosstalk_waist", "crosstalk_times_inf", "crosstalk_times_nan",
-        "switch_delay", "switch_pi2_time", "switch_settle_time"])
+        "switch_delay", "switch_pi2_time", "switch_settle_time",
+        "bloch_duration", "bloch_omega", "bloch_detuning"])
 def test_lab_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()
