@@ -17,6 +17,38 @@ from .errors import ValidationError
 
 COUPLING_MODES = ("intensity", "amplitude")
 
+# Weideman's rational expansion of the Faddeeva function (J. A. C.
+# Weideman, SIAM J. Numer. Anal. 31 (1994) 1497):
+#   w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)),  Z = (L + i z) / (L - i z),
+# where p(Z) = sum_{n=1}^{N} a_n Z^(n-1), valid for Im z >= 0.  The a_n are
+# the real 4N-point DFT of f(t) = exp(-t^2) (L^2 + t^2) sampled at
+# t_k = L tan(pi k / 4N), k = -2N+1 .. 2N-1 (the k = -2N sample is 0),
+#   a_n = sum_k f(t_k) cos(pi n k / 2N) / 4N,
+# evaluated once here as one matrix product.  N = 40 keeps the relative
+# error near 1e-14 on the arguments clipped_crosstalk forms.
+_W_TERMS = 40
+_W_SCALE = math.sqrt(_W_TERMS / math.sqrt(2.0))  # Weideman's optimal L
+
+
+def _weideman_coefficients():
+    """a_N .. a_1 (highest power first, for ``np.polyval``)."""
+    half = 2 * _W_TERMS
+    k = np.arange(1 - half, half)
+    t = _W_SCALE * np.tan(k * (math.pi / (2 * half)))
+    f = np.exp(-t**2) * (_W_SCALE**2 + t**2)
+    n = np.arange(_W_TERMS, 0, -1)
+    return np.cos(np.outer(n, k) * (math.pi / half)) @ f / (2 * half)
+
+
+_W_COEFFICIENTS = _weideman_coefficients()
+
+
+def _faddeeva(z):
+    """Faddeeva function ``w(z) = exp(-z^2) erfc(-i z)`` for ``Im z >= 0``."""
+    d = _W_SCALE - 1j * z
+    p = np.polyval(_W_COEFFICIENTS, (_W_SCALE + 1j * z) / d)
+    return 2.0 * p / d**2 + (1.0 / math.sqrt(math.pi)) / d
+
 
 @dataclass(frozen=True)
 class IonChain:
@@ -136,10 +168,11 @@ def clipped_crosstalk(chain, ion_plane_waist, clipping_ratio, *,
     with the Faddeeva function w (``erf(z) = 1 - exp(-z^2) w(i z)``;
     Poppe & Wijers, ACM TOMS 16 (1990) 38).  Unlike the complex ``erf``,
     this form stays finite at any offset because |w| <= 1 in the upper
-    half plane.  Intensity mode gives A^2, amplitude mode |A|.
+    half plane.  w is evaluated by Weideman's 40-term rational expansion
+    (J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497), valid for
+    Im z >= 0, which every argument -s + i rho meets.  Intensity mode
+    gives A^2, amplitude mode |A|.
     """
-    from scipy.special import erf, wofz
-
     _check_mode(mode)
     for name, value in (("clipping_ratio", clipping_ratio), ("ion_plane_waist", ion_plane_waist),
                         ("collimated_waist", collimated_waist), ("wavelength", wavelength)):
@@ -149,8 +182,8 @@ def clipped_crosstalk(chain, ion_plane_waist, clipping_ratio, *,
     positions = chain.array
     s = (positions[:, None] - positions[None, :]) / ion_plane_waist
     rho = float(clipping_ratio)
-    amp = np.exp(-s**2) - np.exp(-rho**2 - 2j * rho * s) * wofz(-s + 1j * rho)
-    rel = np.abs(amp.real) / erf(rho)
+    amp = np.exp(-s**2) - np.exp(-rho**2 - 2j * rho * s) * _faddeeva(-s + 1j * rho)
+    rel = np.abs(amp.real) / math.erf(rho)
     values = rel**2 if mode == "intensity" else rel
 
     return CrosstalkMatrix(

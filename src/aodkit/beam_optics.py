@@ -329,7 +329,8 @@ def _apply_matrix(beam, axis_state, z_r, m):
     q = complex(-axis_state.waist_position, z_r)
     q2 = (a * q + b) / (c * q + d)
     z_r2 = q2.imag
-    assert z_r2 > 0.0, "ABCD transform lost beam confinement"
+    if not z_r2 > 0.0:
+        raise InvalidElementError("ABCD transform lost beam confinement")
     w0 = math.sqrt(z_r2 * beam.wavelength / math.pi)
     u2 = a * axis_state.centroid + b * axis_state.tilt
     t2 = c * axis_state.centroid + d * axis_state.tilt

@@ -402,7 +402,8 @@ def _build_addressing(sec):
         return None
     clean_ratios = []
     for i, r in enumerate(ratios):
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or r <= 0:
+        if (isinstance(r, bool) or not isinstance(r, (int, float))
+                or not (r > 0 and math.isfinite(r))):
             sec.violations.append(
                 f"{sec.path}.clipping_ratios[{i}]: must be a positive number")
         else:

@@ -21,6 +21,7 @@ module are degrees; reports record the convention as ``CONVENTION``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,6 +388,10 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
     silently dropped.  Draws derive from ``SeedSequence((seed, chunk))``
     so results are reproducible and independent of chunking.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValidationError(f"samples must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if seed < 0:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf, wofz
 
 from aodkit import addressing_analyzer as aa
 from aodkit import beam_optics as bo
@@ -131,6 +132,34 @@ def test_clipped_crosstalk_stable_at_large_offsets(ratio, mode):
     assert np.isfinite(v).all()
     assert (v >= 0.0).all() and (v <= 1.0 + 1e-12).all()
     assert np.abs(np.diag(v) - 1.0).max() <= 1e-12
+
+
+def test_faddeeva_matches_wofz():
+    rho = np.linspace(0.05, 20.0, 200)
+    s = np.concatenate([-np.logspace(-3, 4, 200), [0.0], np.logspace(-3, 4, 200)])
+    z = -s[None, :] + 1j * rho[:, None]
+    want = wofz(z)
+    assert np.max(np.abs(aa._faddeeva(z) - want) / np.abs(want)) <= 1e-12
+
+
+def _wofz_crosstalk(chain, ion_plane_waist, rho, mode):
+    """The closed form of ``clipped_crosstalk`` on scipy's ``wofz`` and ``erf``."""
+    s = (chain.array[:, None] - chain.array[None, :]) / ion_plane_waist
+    amp = np.exp(-s**2) - np.exp(-rho**2 - 2j * rho * s) * wofz(-s + 1j * rho)
+    rel = np.abs(amp.real) / erf(rho)
+    return rel**2 if mode == "intensity" else rel
+
+
+@pytest.mark.parametrize("mode", aa.COUPLING_MODES)
+def test_clipped_crosstalk_matches_wofz_route(mode):
+    short, long_ = aa.IonChain.uniform(5, 3.8e-6), aa.IonChain.uniform(200, 5e-6)
+    for rho in np.geomspace(0.05, 20.0, 11):
+        got = aa.clipped_crosstalk(short, 1.5e-6, rho, mode=mode).values
+        want = _wofz_crosstalk(short, 1.5e-6, rho, mode)
+        assert np.max(np.abs(got - want) / want) <= 1e-12, rho
+        # the long chain's far tails underflow, so compare absolutely there
+        got = aa.clipped_crosstalk(long_, 1e-6, rho, mode=mode).values
+        assert np.max(np.abs(got - _wofz_crosstalk(long_, 1e-6, rho, mode))) <= 1e-12, rho
 
 
 @pytest.mark.parametrize("build", [

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, erfinv
 
 from aodkit import aod_model as am
 from aodkit import beam_optics as bo
@@ -212,6 +212,10 @@ def test_erf_matches_scipy_special():
     want = erf(u)
     assert np.all(np.abs(am._erf(u) - want) <= 2.0 * np.spacing(np.abs(want)))
     assert am._erf(0.5) == pytest.approx(erf(0.5), rel=1e-15)
+
+
+def test_erfinv_constant_matches_scipy():
+    assert am.ERFINV_0_8 == float(erfinv(0.8))
 
 
 def test_spec_validation():

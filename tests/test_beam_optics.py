@@ -134,6 +134,13 @@ def test_aperture_not_propagatable():
         bo.propagate(_beam(), bo.Aperture(1e-3))
 
 
+def test_lost_confinement_raises_invalid_element():
+    # a determinant -1 matrix flips the sign of Im q; an assert would vanish under -O
+    beam = _beam()
+    with pytest.raises(InvalidElementError, match="confinement"):
+        bo._apply_matrix(beam, beam.x, beam.rayleigh_range("x"), ((1.0, 0.0), (0.0, -1.0)))
+
+
 @pytest.mark.parametrize("build", [
     lambda: bo.Aperture(half_width=math.nan),
     lambda: bo.Aperture(half_width=math.inf),

@@ -157,6 +157,14 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, command, se
     assert f"config.{section}.{key}: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_clipping_ratio_is_a_config_error(tmp_path, capsys, bad):
+    cfg = _edited_config(tmp_path, "addressing", clipping_ratios=[0.6, bad])
+    assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config.addressing.clipping_ratios[1]: must be a positive number" in \
+        capsys.readouterr().err
+
+
 def test_chain_with_positions_and_count_is_a_config_error(tmp_path, capsys):
     cfg = _edited_config(tmp_path, "chain", positions_um=[-3.8, 0.0, 3.8])
     assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -199,21 +207,20 @@ def test_csv_values_parse_and_avoid_negative_zero(tmp_path):
 
 
 _IMPORT_PROBE = """
-import json, sys
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
 from aodkit.cli import main
 
-heavy = ("scipy.optimize", "scipy.special", "scipy.signal")
-loaded = {"import": [m for m in heavy if m in sys.modules]}
-commands = (["trace"], ["lab", "chain-scan"], ["lab", "profile-scan"],
-            ["lab", "crosstalk"], ["lab", "switching"])
+commands = (["design-prism"], ["tolerance"], ["trace"], ["steer"], ["efficiency"],
+            ["monitor"], ["crosstalk"], ["misalign"], ["lab", "profile-scan"],
+            ["lab", "chain-scan"], ["lab", "crosstalk"], ["lab", "switching"])
 for argv in commands:
-    assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-    loaded[" ".join(argv)] = [m for m in heavy if m in sys.modules]
-print(json.dumps(loaded))
+    assert main(argv + ["--config", sys.argv[1], "--out", sys.argv[2]]) == 0, argv
+print(len(commands))
 """
 
 
-def test_light_commands_load_no_heavy_scipy(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
     import aodkit
 
     src = str(Path(aodkit.__file__).resolve().parents[1])
@@ -222,9 +229,7 @@ def test_light_commands_load_no_heavy_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, CONFIG, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "trace": [], "lab chain-scan": [],
-                      "lab profile-scan": [], "lab crosstalk": [], "lab switching": []}
+    assert proc.stdout.splitlines()[-1] == "12"
 
 
 def test_module_entry_point_runs():

@@ -167,8 +167,11 @@ def test_solve_alpha_prime_reports_failed_bisection(monkeypatch):
     lambda: pz.PrismPairDesign(39.0, 14.75, 30.0, 30.0, math.nan),
     lambda: pz.expansion_contour([39.0], [math.nan], 30.0, 30.0, 1.476),
     lambda: pz.expansion_contour([10.0, math.inf], [14.75], 30.0, 30.0, 1.476),
+    lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=math.inf, seed=1),
+    lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=1000.5, seed=1),
 ], ids=["target_nan", "target_inf", "tolerance_alpha", "tolerance_beta",
-        "design_alpha_prime", "design_index", "contour_grid_nan", "contour_grid_inf"])
+        "design_alpha_prime", "design_index", "contour_grid_nan", "contour_grid_inf",
+        "mc_samples_inf", "mc_samples_fraction"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()
