@@ -77,13 +77,21 @@ def in_band(spec, drive_frequency):
     return bool(np.all((drive_frequency >= lo) & (drive_frequency <= hi)))
 
 
+def _drive_frequencies(drive_frequency):
+    """``drive_frequency`` as a float array; non-finite values are rejected."""
+    f = np.asarray(drive_frequency, dtype=float)
+    if not np.isfinite(f).all():
+        raise ValidationError(f"drive frequency must be finite, got {drive_frequency!r}")
+    return f
+
+
 def deflection_angle(spec, drive_frequency):
     """First-order deflection (rad) relative to the centre-frequency output.
 
     Out-of-band frequencies are allowed (the physics stays linear) but
     emit an :class:`OutOfBandWarning`.
     """
-    f = np.asarray(drive_frequency, dtype=float)
+    f = _drive_frequencies(drive_frequency)
     if not in_band(spec, f):
         warnings.warn(
             f"drive frequency outside the rated band {spec.band()}",
@@ -134,7 +142,7 @@ def steering_efficiency(spec, train):
 
 def diffraction_efficiency(spec, drive_frequency):
     """Power diffraction efficiency, ``eta0 * sinc^2((f - fc) / width)``."""
-    f = np.asarray(drive_frequency, dtype=float)
+    f = _drive_frequencies(drive_frequency)
     eta = spec.peak_efficiency * np.sinc((f - spec.center_frequency) / spec.efficiency_width) ** 2
     return float(eta) if np.ndim(drive_frequency) == 0 else eta
 

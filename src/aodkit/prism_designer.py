@@ -94,7 +94,7 @@ def _single_prism(theta1_deg, wedge_deg, n, t1, t2, t3, m, exit_deg, fail, flag)
     ``exit_deg`` and to ``fail`` 0 for a feasible trace, 1 if the ray
     cannot strike the entry face (|theta1| >= 90) and 2 for total
     internal reflection at the exit; ``t1``, ``t2``, ``t3`` and ``flag``
-    are scratch.  Every output is preallocated, so a Monte-Carlo chunk
+    are scratch.  Every output is preallocated, so a Monte-Carlo block
     reuses its pages instead of faulting fresh temporaries in.
     ``exit_deg`` may be ``theta1_deg``.
     """
@@ -374,10 +374,11 @@ class ToleranceReport:
     worst_case_linear_error: float
     per_angle_relative_errors: dict
     tolerances: dict
-    values: np.ndarray = None  # feasible sampled M values, when requested
+    values: np.ndarray = None  # feasible sampled M values in draw order, when requested
 
 
-_MC_CHUNK = 65536
+_MC_CHUNK = 65536  # rows per seeded generator: fixes the draws
+_MC_BLOCK = 4096  # rows traced at once: fixes only the working set
 
 
 def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
@@ -385,8 +386,10 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
 
     Each sample draws the four angle errors independently and uniformly
     within ``+/- tolerances``; infeasible geometries are counted, not
-    silently dropped.  Draws derive from ``SeedSequence((seed, chunk))``
-    so results are reproducible and independent of chunking.
+    silently dropped.  Each chunk of ``_MC_CHUNK`` samples draws from
+    its own ``SeedSequence((seed, chunk))``, so results are reproducible
+    for a given seed and sample count; a chunk is traced in blocks of
+    ``_MC_BLOCK`` rows, and the results do not depend on the block size.
     """
     try:
         samples = operator.index(samples)
@@ -394,6 +397,10 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
         raise ValidationError(f"samples must be an integer, got {samples!r}") from None
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     m0 = expansion_factor(design)
@@ -409,38 +416,46 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
 
     mean_acc = sq_acc = 0.0
     feasible = 0
-    infeasible = 0
     vmin, vmax = math.inf, -math.inf
     worst_log = 0.0
     worst_lin = 0.0
-    kept = [] if keep_values else None
 
-    # One set of chunk buffers per call: the same ufuncs on the same
-    # operands as fresh temporaries would give, without the page faults.
-    size = min(_MC_CHUNK, samples)
-    draws = np.empty((size, 4))
-    angle_rows = np.empty((4, size))
-    buffers = _trace_buffers((size,))
-    vals_buf, scratch_buf = np.empty((2, size))
+    # Trace buffers hold one block; the feasible values of a chunk (or of
+    # every chunk, when kept) go to one store, so the reductions below
+    # see the same arrays whatever the block size.
+    chunk_size = min(_MC_CHUNK, samples)
+    block = min(_MC_BLOCK, chunk_size)
+    draws = np.empty((block, 4))
+    angle_rows = np.empty((4, block))
+    buffers = _trace_buffers((block,))
+    store = np.empty(samples if keep_values else chunk_size)
+    scratch_buf = np.empty(chunk_size)
     done = 0
     chunk_index = 0
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        u = rng.random(out=draws[:count])
-        angles = angle_rows[:, :count]
-        for j, a in enumerate(angles):
-            # rng.uniform(-1, 1) is -1 + 2 u, then scale and shift per angle
-            np.add(-1.0, np.multiply(u[:, j], 2.0, out=a), out=a)
-            np.add(base[j], np.multiply(a, tol[j], out=a), out=a)
-        values, surface = _expansion_many(
-            *angles, n, tuple(b[..., :count] for b in buffers))
-        good = np.equal(surface, 0, out=buffers[-1][:count])
-        k = int(np.count_nonzero(good))
+        start = feasible if keep_values else 0
+        end = start
+        for row in range(0, count, block):
+            b = min(block, count - row)
+            # fills the chunk's (count, 4) draws row by row, in order
+            u = rng.random(out=draws[:b])
+            angles = angle_rows[:, :b]
+            for j, a in enumerate(angles):
+                # rng.uniform(-1, 1) is -1 + 2 u, then scale and shift per angle
+                np.add(-1.0, np.multiply(u[:, j], 2.0, out=a), out=a)
+                np.add(base[j], np.multiply(a, tol[j], out=a), out=a)
+            values, surface = _expansion_many(
+                *angles, n, tuple(buf[..., :b] for buf in buffers))
+            good = np.equal(surface, 0, out=buffers[-1][:b])
+            k = int(np.count_nonzero(good))
+            np.compress(good, values, out=store[end:end + k])
+            end += k
+        k = end - start
         feasible += k
-        infeasible += count - k
         if k:
-            vals = np.compress(good, values, out=vals_buf[:k])
+            vals = store[start:end]
             scratch = scratch_buf[:k]
             mean_acc += float(vals.sum())
             sq_acc += float(np.square(vals, out=scratch).sum())
@@ -450,8 +465,6 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
             worst_log = max(worst_log, float(np.abs(log_err, out=scratch).max()))
             lin_err = np.subtract(np.divide(vals, m0, out=scratch), 1.0, out=scratch)
             worst_lin = max(worst_lin, float(np.abs(lin_err, out=scratch).max()))
-            if kept is not None:
-                kept.append(vals.copy())
         done += count
         chunk_index += 1
 
@@ -492,7 +505,7 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
         design_expansion=m0,
         samples=samples,
         feasible_samples=feasible,
-        infeasible_samples=infeasible,
+        infeasible_samples=samples - feasible,
         seed=seed,
         mean=mean,
         std=math.sqrt(var),
@@ -502,5 +515,5 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
         worst_case_linear_error=worst_lin,
         per_angle_relative_errors=per_angle,
         tolerances={name: float(t) for name, t in zip(ANGLE_NAMES, tol)},
-        values=np.concatenate(kept) if kept else None,
+        values=store[:feasible] if keep_values else None,
     )

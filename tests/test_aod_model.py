@@ -200,8 +200,16 @@ _CHAIN = am.MonitorChain(sample_fraction=0.01, responsivity=0.2, transimpedance_
     lambda: am.monitor_voltage(_CHAIN, math.nan, 0.5),
     lambda: am.monitor_voltage(_CHAIN, math.inf, 0.5),
     lambda: am.monitor_voltage(_CHAIN, 1.0, np.array([0.5, math.nan])),
+    lambda: am.deflection_angle(SPEC, math.nan),
+    lambda: am.deflection_angle(SPEC, math.inf),
+    lambda: am.deflection_angle(SPEC, np.array([150e6, math.nan])),
+    lambda: am.diffraction_efficiency(SPEC, math.nan),
+    lambda: am.diffraction_efficiency(SPEC, -math.inf),
+    lambda: am.diffraction_efficiency(SPEC, np.array([150e6, math.inf])),
 ], ids=["efficiency_width", "acoustic_velocity", "peak_efficiency", "responsivity",
-        "transimpedance_gain", "beam_power_nan", "beam_power_inf", "efficiency"])
+        "transimpedance_gain", "beam_power_nan", "beam_power_inf", "efficiency",
+        "deflection_nan", "deflection_inf", "deflection_array",
+        "efficiency_drive_nan", "efficiency_drive_inf", "efficiency_drive_array"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,9 +170,11 @@ def test_solve_alpha_prime_reports_failed_bisection(monkeypatch):
     lambda: pz.expansion_contour([10.0, math.inf], [14.75], 30.0, 30.0, 1.476),
     lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=math.inf, seed=1),
     lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=1000.5, seed=1),
+    lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=1000, seed=1.5),
+    lambda: pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=1000, seed=math.nan),
 ], ids=["target_nan", "target_inf", "tolerance_alpha", "tolerance_beta",
         "design_alpha_prime", "design_index", "contour_grid_nan", "contour_grid_inf",
-        "mc_samples_inf", "mc_samples_fraction"])
+        "mc_samples_inf", "mc_samples_fraction", "mc_seed_fraction", "mc_seed_nan"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()
@@ -243,16 +246,27 @@ def test_monte_carlo_keep_values():
     assert rep.values.max() <= rep.maximum
 
 
-def test_monte_carlo_chunk_buffers_match_fresh_draws():
-    # reference: per-chunk rng.uniform draws and fresh temporaries
-    tol = pz.ToleranceSpec(20.0, 20.0, 10.0, 10.0)
-    samples = 2 * pz._MC_CHUNK + 100
-    rep = pz.tolerance_monte_carlo(ANCHOR, tol, samples=samples, seed=9, keep_values=True)
+_WIDE_TOL = pz.ToleranceSpec(20.0, 20.0, 10.0, 10.0)
+_WIDE_SAMPLES = 2 * pz._MC_CHUNK + 100
+
+
+def _wide_report():
+    return pz.tolerance_monte_carlo(ANCHOR, _WIDE_TOL, samples=_WIDE_SAMPLES, seed=9,
+                                    keep_values=True)
+
+
+@pytest.mark.parametrize("block", [1000, pz._MC_BLOCK, pz._MC_CHUNK],
+                         ids=["uneven", "default", "chunk"])
+def test_monte_carlo_chunk_buffers_match_fresh_draws(monkeypatch, block):
+    # reference: per-chunk rng.uniform draws and fresh temporaries; the
+    # block size (1000 does not divide the chunk) must not change a draw
+    monkeypatch.setattr(pz, "_MC_BLOCK", block)
+    rep = _wide_report()
     kept, sums, done, chunk = [], [], 0, 0
-    while done < samples:
-        count = min(pz._MC_CHUNK, samples - done)
+    while done < _WIDE_SAMPLES:
+        count = min(pz._MC_CHUNK, _WIDE_SAMPLES - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((9, chunk))))
-        offsets = rng.uniform(-1.0, 1.0, size=(count, 4)) * np.asarray(tol.as_tuple())
+        offsets = rng.uniform(-1.0, 1.0, size=(count, 4)) * np.asarray(_WIDE_TOL.as_tuple())
         angles = np.asarray(ANCHOR.angles()) + offsets
         values, surface = pz._expansion_many(*angles.T, ANCHOR.refractive_index)
         kept.append(values[surface == 0])
@@ -263,6 +277,27 @@ def test_monte_carlo_chunk_buffers_match_fresh_draws():
     assert rep.feasible_samples == sum(v.size for v in kept)
     assert np.array_equal(rep.values, np.concatenate(kept))
     assert rep.mean == sum(sums) / rep.feasible_samples
+    monkeypatch.undo()
+    default = _wide_report()
+    for name in ("std", "minimum", "maximum",
+                 "worst_case_relative_error", "worst_case_linear_error"):
+        assert getattr(rep, name) == getattr(default, name), name
+
+
+@pytest.mark.parametrize("samples, keep_values", [(1_000_000, False), (100_000, True)],
+                         ids=["1M", "100k_kept"])
+def test_monte_carlo_working_set_is_bounded(samples, keep_values):
+    # numpy reports its buffers to tracemalloc; the whole-chunk buffers
+    # of the earlier implementation peaked at 10.6 and 11.1 MiB here
+    pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=1000, seed=1)  # warm-up
+    tracemalloc.start()
+    try:
+        pz.tolerance_monte_carlo(ANCHOR, pz.ToleranceSpec(), samples=samples, seed=1,
+                                 keep_values=keep_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_expansion_contour_masks_infeasible_cells():
