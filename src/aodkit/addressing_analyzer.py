@@ -94,7 +94,10 @@ def relative_rate(waist, offset, mode="intensity"):
     _check_mode(mode)
     if not (waist > 0.0 and math.isfinite(waist)):
         raise ValidationError("waist must be positive and finite")
-    d2 = np.asarray(offset, dtype=float) ** 2
+    d = np.asarray(offset, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValidationError("offset must be finite")
+    d2 = d**2
     power = 2.0 if mode == "intensity" else 1.0
     r = np.exp(-power * d2 / waist**2)
     return float(r) if np.ndim(offset) == 0 else r

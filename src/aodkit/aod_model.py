@@ -173,6 +173,8 @@ def transit_ramp(spec, t, model="field_overlap"):
     ts = theoretical_switch_time(spec)
     tau = spec.crystal_waist / spec.acoustic_velocity  # beam-radius transit time
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValidationError("t must be finite")
     if model == "field_overlap":
         a = 0.5 * (1.0 + _erf((t - ts) / tau))
     elif model == "linear":
@@ -191,8 +193,8 @@ def ramp_area(spec, duration, model="field_overlap"):
     ts = theoretical_switch_time(spec)
     tau = spec.crystal_waist / spec.acoustic_velocity
     d = np.asarray(duration, dtype=float)
-    if np.any(d < 0.0):
-        raise ValidationError("duration must be >= 0")
+    if not np.all((d >= 0.0) & np.isfinite(d)):
+        raise ValidationError("duration must be finite and >= 0")
     if model == "field_overlap":
         def antideriv(t):
             u = (t - ts) / tau

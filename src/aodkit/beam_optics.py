@@ -123,6 +123,8 @@ def spot_size_at(beam, axis, distance=0.0):
     Evaluates ``w = w0 * sqrt(1 + (dz / zR)^2)`` with ``dz`` the
     distance from the waist.
     """
+    if not math.isfinite(distance):
+        raise ValidationError("distance must be finite")
     a = beam.axis(axis)
     z_r = beam.rayleigh_range(axis)
     dz = distance - a.waist_position

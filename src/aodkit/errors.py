@@ -6,6 +6,8 @@ Two user-facing families matter for the CLI exit-code contract:
 infeasible request, exit code 1).
 """
 
+import operator
+
 
 class AodkitError(Exception):
     """Base class for every error raised by this package."""
@@ -101,3 +103,15 @@ class UnbracketedMinimumError(DomainError):
 
 class OutOfBandWarning(UserWarning):
     """A drive frequency lies outside the rated AOD band."""
+
+
+def as_count(name, value, minimum):
+    """``value`` as an int of at least ``minimum``; a float, a NaN or a
+    string raises :class:`ValidationError` instead of being truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -21,7 +21,6 @@ module are degrees; reports record the convention as ``CONVENTION``.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     TotalInternalReflectionError,
     UnachievableTargetError,
     ValidationError,
+    as_count,
 )
 
 CONVENTION = "grazing-chained"  # the angle reading above, as reports name it
@@ -391,18 +391,8 @@ def tolerance_monte_carlo(design, tolerances, samples, seed, keep_values=False):
     for a given seed and sample count; a chunk is traced in blocks of
     ``_MC_BLOCK`` rows, and the results do not depend on the block size.
     """
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValidationError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    samples = as_count("samples", samples, 1)
+    seed = as_count("seed", seed, 0)
     m0 = expansion_factor(design)
     tol = np.asarray(tolerances.as_tuple(), dtype=float)
     base = np.asarray(design.angles(), dtype=float)

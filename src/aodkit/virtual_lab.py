@@ -11,9 +11,13 @@ All shot noise goes through :func:`_readout`: point ``index`` reads
 ``(seed, *key, *index)``, reproducible per seed and independent of
 evaluation order.  Keys: profile ``(i)``; chain ``(frequency j, ion i)``;
 crosstalk ``(0, ion, k)`` on the target grid and ``(1, ion, k)`` on the
-long grid; switching ``(i, ion)``.  The seed sequence pads short entropy
-with zeros, so ``(seed, i)`` equals ``(seed, i, 0)``: profile point i,
-chain point (i, ion 0) and switching ion-0 point i share their noise.
+long grid; switching ``(i, ion)``.  The key reaches the seed sequence as
+one uint32 array holding the words it would make of that tuple (each int
+as its little-endian 32-bit words, so a seed of 2**32 or more takes
+several), which is the same entropy and the same stream.  The seed
+sequence pads short entropy with zeros, so ``(seed, i)`` equals
+``(seed, i, 0)``: profile point i, chain point (i, ion 0) and switching
+ion-0 point i share their noise.
 """
 
 import math
@@ -28,6 +32,7 @@ from .errors import (
     OutOfRangeError,
     UnbracketedMinimumError,
     ValidationError,
+    as_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,7 +83,10 @@ def _excitation(rates, detuning, t):
 
 def rabi_probability(drive, t):
     """Two-level excitation probability after driving for time ``t``."""
-    p = _excitation(drive.peak_rabi, drive.detuning, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValidationError("t must be finite")
+    p = _excitation(drive.peak_rabi, drive.detuning, t)
     return float(p) if np.ndim(t) == 0 else p
 
 
@@ -124,16 +132,26 @@ def _readout(p, shots, seed, *key):
     missing seed counts as 0, and ``shots`` None returns ``p`` itself."""
     if shots is None:
         return p
-    seed = 0 if seed is None else int(seed)
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
+    shots = as_count("shots", shots, 1)
+    seed = 0 if seed is None else as_count("seed", seed, 0)
     p = np.clip(p, 0.0, 1.0)
     out = np.empty(p.shape)
+    # the uint32 words the seed sequence would make of (seed, *key, *index),
+    # with the index slots rewritten per point (the pool is mixed on creation)
+    head = [word for v in (seed, *key) for word in _uint32_words(v)]
+    entropy = np.array(head + [0] * p.ndim, dtype=np.uint32)
+    slots = entropy[len(head):]
     for index in np.ndindex(p.shape):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, *key, *index))))
+        slots[:] = index
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         out[index] = rng.binomial(shots, p[index]) / shots
     return out
+
+
+def _uint32_words(n):
+    """Little-endian 32-bit words of ``n >= 0``, one word for 0."""
+    n = int(n)
+    return [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def _check_grid(name, x):

@@ -173,8 +173,11 @@ def test_clipped_crosstalk_matches_wofz_route(mode):
     lambda: aa.misalignment_imbalance(math.radians(1.0), math.nan, 8.5e-6),
     lambda: aa.crosstalk_matrix(aa.IonChain.uniform(3, 3.8e-6), 1.5e-6,
                                 beam_centers=[0.0, math.nan, 1e-6]),
+    lambda: aa.relative_rate(1.5e-6, math.nan),
+    lambda: aa.relative_rate(1.5e-6, np.array([0.0, math.nan, 1e-6])),
 ], ids=["clipping_ratio", "ion_plane_waist", "waist", "ion_position", "peak_rabi",
-        "misalignment_angle", "perpendicular_waist", "half_range", "beam_centers"])
+        "misalignment_angle", "perpendicular_waist", "half_range", "beam_centers",
+        "rate_offset_nan", "rate_offset_array"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

@@ -206,10 +206,15 @@ _CHAIN = am.MonitorChain(sample_fraction=0.01, responsivity=0.2, transimpedance_
     lambda: am.diffraction_efficiency(SPEC, math.nan),
     lambda: am.diffraction_efficiency(SPEC, -math.inf),
     lambda: am.diffraction_efficiency(SPEC, np.array([150e6, math.inf])),
+    lambda: am.transit_ramp(SPEC, math.nan),
+    lambda: am.transit_ramp(SPEC, np.array([0.0, math.nan]), model="linear"),
+    lambda: am.ramp_area(SPEC, math.nan),
+    lambda: am.ramp_area(SPEC, np.array([1e-7, math.nan]), model="linear"),
 ], ids=["efficiency_width", "acoustic_velocity", "peak_efficiency", "responsivity",
         "transimpedance_gain", "beam_power_nan", "beam_power_inf", "efficiency",
         "deflection_nan", "deflection_inf", "deflection_array",
-        "efficiency_drive_nan", "efficiency_drive_inf", "efficiency_drive_array"])
+        "efficiency_drive_nan", "efficiency_drive_inf", "efficiency_drive_array",
+        "ramp_nan", "ramp_array_linear", "ramp_area_nan", "ramp_area_array_linear"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

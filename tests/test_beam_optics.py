@@ -147,7 +147,9 @@ def test_lost_confinement_raises_invalid_element():
     lambda: bo.AodDeflector(math.nan, 5700.0),
     lambda: bo.AodDeflector(150e6, math.inf),
     lambda: bo.AodDeflector(150e6, 5700.0, drive_frequency=math.nan),
-], ids=["aperture_nan", "aperture_inf", "aod_center", "aod_velocity", "aod_drive"])
+    lambda: bo.spot_size_at(_beam(), "x", math.nan),
+], ids=["aperture_nan", "aperture_inf", "aod_center", "aod_velocity", "aod_drive",
+        "spot_distance"])
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()

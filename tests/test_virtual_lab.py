@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,11 +353,14 @@ def _draw(p, shots, seed, *key):
     return rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
 
 
-def test_noise_key_layout_per_experiment():
+@pytest.mark.parametrize("seed", [11, 2**32 + 7, 2**64 + 5],
+                         ids=["one_word", "two_words", "three_words"])
+def test_noise_key_layout_per_experiment(seed):
     # every noisy point is one binomial draw from SeedSequence((seed, *key)),
     # keyed per experiment as the virtual_lab docstring lists; a re-keying
-    # changes every noisy trace and must update this test on purpose
-    shots, seed = 200, 11
+    # changes every noisy trace and must update this test on purpose.  Seeds
+    # of 2**32 and more reach the seed sequence as several 32-bit words.
+    shots = 200
     freqs = np.linspace(149e6, 151e6, 9)
     clean = vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6)
     noisy = vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, freqs, 150e6,
@@ -428,6 +432,39 @@ _FREQS = np.linspace(145e6, 155e6, 11)
 _TIMES = np.linspace(0.0, 1e-4, 11)
 
 
+@pytest.mark.parametrize("shots, seed", [
+    (200, 1.5), (200, "1"), (200, math.nan), (200, math.inf), (200, -1),
+    (200.5, 1), (0, 1), (-3, 1), (math.nan, 1), ("200", 1),
+], ids=["seed_fraction", "seed_string", "seed_nan", "seed_inf", "seed_negative",
+        "shots_fraction", "shots_zero", "shots_negative", "shots_nan", "shots_string"])
+def test_readout_rejects_bad_shots_and_seed(shots, seed):
+    with pytest.raises(ValidationError):
+        vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, _FREQS, 150e6,
+                                 shots=shots, seed=seed)
+
+
+def test_readout_accepts_numpy_integers():
+    args = (1.5e-6, STEERING_EFF, _DRIVE, _FREQS, 150e6)
+    plain = vl.simulate_profile_scan(*args, shots=200, seed=7)
+    numpy_ints = vl.simulate_profile_scan(*args, shots=np.int64(200), seed=np.uint32(7))
+    assert np.array_equal(plain.values, numpy_ints.values)
+
+
+def test_readout_working_set():
+    # one reused key buffer: the peak is the clipped copy plus the output
+    # (2.2 x p.nbytes); a per-point key matrix would reach about 4.6 x and
+    # Python key lists about 9.6 x
+    p = np.random.default_rng(5).random((401, 20))
+    vl._readout(p[:2], 200, 3)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        vl._readout(p, 200, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * p.nbytes, peak / p.nbytes
+
+
 def _with(values, index, bad):
     out = np.array(values, dtype=float)
     out[index] = bad
@@ -456,11 +493,14 @@ def _with(values, index, bad):
     lambda: bloch.excited_population(1e6, 0.0, math.nan),
     lambda: bloch.excited_population(math.inf, 0.0, 1e-6),
     lambda: bloch.excited_population(1e6, math.nan, 1e-6),
+    lambda: vl.rabi_probability(_DRIVE, math.nan),
+    lambda: vl.rabi_probability(_DRIVE, _with(_TIMES, 2, math.nan)),
 ], ids=["profile_waist", "profile_efficiency", "profile_center", "profile_frequencies",
         "chain_waist", "chain_efficiency", "chain_center", "chain_frequencies",
         "crosstalk_waist", "crosstalk_times_inf", "crosstalk_times_nan",
         "switch_delay", "switch_pi2_time", "switch_settle_time",
-        "bloch_duration", "bloch_omega", "bloch_detuning"])
+        "bloch_duration", "bloch_omega", "bloch_detuning",
+        "rabi_time_nan", "rabi_times_array"])
 def test_lab_non_finite_input_rejected(build):
     with pytest.raises(ValidationError):
         build()
