@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import (ValidationError, as_count, finite, increasing_grid, non_negative,
+                     positive)
 
 COUPLING_MODES = ("intensity", "amplitude")
 
@@ -58,21 +59,14 @@ class IonChain:
 
     def __post_init__(self):
         pos = tuple(float(p) for p in self.positions)
-        if len(pos) < 1:
-            raise ValidationError("chain needs at least one ion")
-        if not all(math.isfinite(p) for p in pos):
-            raise ValidationError("ion positions must be finite")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValidationError("ion positions must be strictly increasing")
+        increasing_grid("ion positions", pos, 1)
         object.__setattr__(self, "positions", pos)
 
     @classmethod
     def uniform(cls, count, spacing, center=0.0):
         """Evenly spaced chain of ``count`` ions centred on ``center``."""
-        if count < 1:
-            raise ValidationError("count must be >= 1")
-        if spacing <= 0.0:
-            raise ValidationError("spacing must be positive")
+        count = as_count("count", count, 1)
+        positive("spacing", spacing)
         offset = 0.5 * (count - 1) * spacing
         return cls(tuple(center - offset + i * spacing for i in range(count)))
 
@@ -92,12 +86,8 @@ def _check_mode(mode):
 def relative_rate(waist, offset, mode="intensity"):
     """Rabi rate at ``offset`` from the spot centre relative to the centre."""
     _check_mode(mode)
-    if not (waist > 0.0 and math.isfinite(waist)):
-        raise ValidationError("waist must be positive and finite")
-    d = np.asarray(offset, dtype=float)
-    if not np.isfinite(d).all():
-        raise ValidationError("offset must be finite")
-    d2 = d**2
+    positive("waist", waist)
+    d2 = finite("offset", offset) ** 2
     power = 2.0 if mode == "intensity" else 1.0
     r = np.exp(-power * d2 / waist**2)
     return float(r) if np.ndim(offset) == 0 else r
@@ -135,9 +125,7 @@ def crosstalk_matrix(chain, waist, beam_centers=None, mode="intensity"):
     pointed addressing); the diagonal is then exactly 1.
     """
     _check_mode(mode)
-    centers = chain.array if beam_centers is None else np.asarray(beam_centers, dtype=float)
-    if not np.isfinite(centers).all():
-        raise ValidationError("beam_centers must be finite")
+    centers = chain.array if beam_centers is None else finite("beam_centers", beam_centers)
     offsets = chain.array[:, None] - centers[None, :]
     values = relative_rate(waist, offsets, mode=mode)
     return CrosstalkMatrix(
@@ -177,10 +165,10 @@ def clipped_crosstalk(chain, ion_plane_waist, clipping_ratio, *,
     gives A^2, amplitude mode |A|.
     """
     _check_mode(mode)
-    for name, value in (("clipping_ratio", clipping_ratio), ("ion_plane_waist", ion_plane_waist),
-                        ("collimated_waist", collimated_waist), ("wavelength", wavelength)):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be positive and finite")
+    positive("clipping_ratio", clipping_ratio)
+    positive("ion_plane_waist", ion_plane_waist)
+    positive("collimated_waist", collimated_waist)
+    positive("wavelength", wavelength)
 
     positions = chain.array
     s = (positions[:, None] - positions[None, :]) / ion_plane_waist
@@ -206,10 +194,9 @@ def misalignment_imbalance(mis_angle, half_range, perpendicular_waist):
     (``half_range`` from the centre ion) the intensity drops by
     ``1 - exp(-2 (half_range sin(mis_angle) / w_perp)^2)``.
     """
-    if not (perpendicular_waist > 0.0 and math.isfinite(perpendicular_waist)):
-        raise ValidationError("perpendicular_waist must be positive and finite")
-    if not (half_range >= 0.0 and math.isfinite(half_range) and math.isfinite(mis_angle)):
-        raise ValidationError("half_range and mis_angle must be finite, half_range >= 0")
+    positive("perpendicular_waist", perpendicular_waist)
+    non_negative("half_range", half_range)
+    finite("mis_angle", mis_angle)
     excursion = half_range * math.sin(mis_angle)
     return 1.0 - math.exp(-2.0 * (excursion / perpendicular_waist) ** 2)
 

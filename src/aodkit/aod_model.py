@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import beam_optics
-from .errors import OutOfBandWarning, TrainStructureError, ValidationError
+from .errors import (OutOfBandWarning, TrainStructureError, ValidationError, finite, in_range,
+                     non_negative, positive)
 
 # sinc^2(x) = 1/2 at this argument (np.sinc normalisation, sin(pi x)/(pi x));
 # sets the efficiency-width default so the band edges sit at half efficiency.
@@ -46,18 +47,13 @@ class AodSpec:
     def __post_init__(self):
         for name in ("center_frequency", "bandwidth", "acoustic_velocity",
                      "optical_wavelength", "crystal_waist"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValidationError(f"{name} must be positive, got {v}")
-        if not (0.0 < self.peak_efficiency <= 1.0):
-            raise ValidationError(
-                f"peak_efficiency must lie in (0, 1], got {self.peak_efficiency}")
+            positive(name, getattr(self, name))
+        in_range("peak_efficiency", self.peak_efficiency, 0.0, 1.0, "(]")
         if self.efficiency_width is None:
             object.__setattr__(
                 self, "efficiency_width",
                 self.bandwidth / (2.0 * HALF_POWER_SINC_ARG))
-        if not (self.efficiency_width > 0.0 and math.isfinite(self.efficiency_width)):
-            raise ValidationError("efficiency_width must be positive and finite")
+        positive("efficiency_width", self.efficiency_width)
 
     def band(self):
         half = 0.5 * self.bandwidth
@@ -77,21 +73,13 @@ def in_band(spec, drive_frequency):
     return bool(np.all((drive_frequency >= lo) & (drive_frequency <= hi)))
 
 
-def _drive_frequencies(drive_frequency):
-    """``drive_frequency`` as a float array; non-finite values are rejected."""
-    f = np.asarray(drive_frequency, dtype=float)
-    if not np.isfinite(f).all():
-        raise ValidationError(f"drive frequency must be finite, got {drive_frequency!r}")
-    return f
-
-
 def deflection_angle(spec, drive_frequency):
     """First-order deflection (rad) relative to the centre-frequency output.
 
     Out-of-band frequencies are allowed (the physics stays linear) but
     emit an :class:`OutOfBandWarning`.
     """
-    f = _drive_frequencies(drive_frequency)
+    f = finite("drive_frequency", drive_frequency)
     if not in_band(spec, f):
         warnings.warn(
             f"drive frequency outside the rated band {spec.band()}",
@@ -142,7 +130,7 @@ def steering_efficiency(spec, train):
 
 def diffraction_efficiency(spec, drive_frequency):
     """Power diffraction efficiency, ``eta0 * sinc^2((f - fc) / width)``."""
-    f = _drive_frequencies(drive_frequency)
+    f = finite("drive_frequency", drive_frequency)
     eta = spec.peak_efficiency * np.sinc((f - spec.center_frequency) / spec.efficiency_width) ** 2
     return float(eta) if np.ndim(drive_frequency) == 0 else eta
 
@@ -172,9 +160,7 @@ def transit_ramp(spec, t, model="field_overlap"):
     """
     ts = theoretical_switch_time(spec)
     tau = spec.crystal_waist / spec.acoustic_velocity  # beam-radius transit time
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValidationError("t must be finite")
+    t = finite("t", t)
     if model == "field_overlap":
         a = 0.5 * (1.0 + _erf((t - ts) / tau))
     elif model == "linear":
@@ -192,9 +178,7 @@ def ramp_area(spec, duration, model="field_overlap"):
     """
     ts = theoretical_switch_time(spec)
     tau = spec.crystal_waist / spec.acoustic_velocity
-    d = np.asarray(duration, dtype=float)
-    if not np.all((d >= 0.0) & np.isfinite(d)):
-        raise ValidationError("duration must be finite and >= 0")
+    d = non_negative("duration", duration)
     if model == "field_overlap":
         def antideriv(t):
             u = (t - ts) / tau
@@ -226,11 +210,9 @@ class MonitorChain:
     transimpedance_gain: float
 
     def __post_init__(self):
-        if not (0.0 < self.sample_fraction < 1.0):
-            raise ValidationError("sample_fraction must lie in (0, 1)")
-        for name in ("responsivity", "transimpedance_gain"):
-            if not (getattr(self, name) > 0.0 and math.isfinite(getattr(self, name))):
-                raise ValidationError(f"{name} must be positive and finite")
+        in_range("sample_fraction", self.sample_fraction, 0.0, 1.0, "()")
+        positive("responsivity", self.responsivity)
+        positive("transimpedance_gain", self.transimpedance_gain)
 
 
 def monitor_voltage(chain, beam_power, efficiency):
@@ -239,10 +221,7 @@ def monitor_voltage(chain, beam_power, efficiency):
     ``V = P * eta * fraction * R * G``; linear in the efficiency, so the
     monitor trace is an exact proxy for the diffraction response.
     """
-    if not (beam_power >= 0.0 and math.isfinite(beam_power)):
-        raise ValidationError("beam_power must be finite and >= 0")
-    eta = np.asarray(efficiency, dtype=float)
-    if not np.all((eta >= 0.0) & (eta <= 1.0)):
-        raise ValidationError("efficiency must lie in [0, 1]")
+    non_negative("beam_power", beam_power)
+    eta = in_range("efficiency", efficiency, 0.0, 1.0)
     v = beam_power * eta * chain.sample_fraction * chain.responsivity * chain.transimpedance_gain
     return float(v) if np.ndim(efficiency) == 0 else v

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidElementError, ResolutionError, ValidationError
+from .errors import (InvalidElementError, ResolutionError, ValidationError, as_count, finite,
+                     in_range, non_negative, nonzero, positive)
 
 AXES = ("x", "z")
 
@@ -57,13 +58,10 @@ class BeamAxis:
     tilt: float = 0.0
 
     def __post_init__(self):
-        if not (self.waist_radius > 0.0 and math.isfinite(self.waist_radius)):
-            raise ValidationError(
-                f"waist_radius must be positive and finite, got {self.waist_radius}"
-            )
-        for name in ("waist_position", "centroid", "tilt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        positive("waist_radius", self.waist_radius)
+        finite("waist_position", self.waist_position)
+        finite("centroid", self.centroid)
+        finite("tilt", self.tilt)
 
 
 @dataclass(frozen=True)
@@ -80,12 +78,8 @@ class AstigmaticBeam:
     power_fraction: float = 1.0
 
     def __post_init__(self):
-        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
-            raise ValidationError(f"wavelength must be positive, got {self.wavelength}")
-        if not (0.0 <= self.power_fraction <= 1.0):
-            raise ValidationError(
-                f"power_fraction must lie in [0, 1], got {self.power_fraction}"
-            )
+        positive("wavelength", self.wavelength)
+        in_range("power_fraction", self.power_fraction, 0.0, 1.0)
 
     @classmethod
     def circular(cls, wavelength, waist_radius):
@@ -123,8 +117,7 @@ def spot_size_at(beam, axis, distance=0.0):
     Evaluates ``w = w0 * sqrt(1 + (dz / zR)^2)`` with ``dz`` the
     distance from the waist.
     """
-    if not math.isfinite(distance):
-        raise ValidationError("distance must be finite")
+    finite("distance", distance)
     a = beam.axis(axis)
     z_r = beam.rayleigh_range(axis)
     dz = distance - a.waist_position
@@ -133,8 +126,9 @@ def spot_size_at(beam, axis, distance=0.0):
 
 def focused_waist(wavelength, focal_length, input_radius):
     """Diffraction-limited waist ``lambda * f / (pi * w_in)`` of an ideal lens."""
-    if input_radius <= 0.0:
-        raise ValidationError("input_radius must be positive")
+    finite("wavelength", wavelength)
+    finite("focal_length", focal_length)
+    positive("input_radius", input_radius)
     return wavelength * focal_length / (math.pi * input_radius)
 
 
@@ -150,8 +144,7 @@ class FreeSpace:
     length: float
 
     def __post_init__(self):
-        if self.length < 0.0 or not math.isfinite(self.length):
-            raise ValidationError(f"length must be >= 0, got {self.length}")
+        non_negative("length", self.length)
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -166,8 +159,7 @@ class ThinLens:
     axis: str = "both"
 
     def __post_init__(self):
-        if self.focal_length == 0.0 or not math.isfinite(self.focal_length):
-            raise ValidationError("focal_length must be finite and nonzero")
+        nonzero("focal_length", self.focal_length)
         if self.axis not in AXES + ("both",):
             raise ValidationError(f"axis must be 'x', 'z' or 'both', got {self.axis!r}")
 
@@ -191,10 +183,8 @@ class AnamorphicScaler:
     mz: float = 1.0
 
     def __post_init__(self):
-        for name in ("mx", "mz"):
-            v = getattr(self, name)
-            if v <= 0.0 or not math.isfinite(v):
-                raise ValidationError(f"{name} must be positive, got {v}")
+        positive("mx", self.mx)
+        positive("mz", self.mz)
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -209,8 +199,7 @@ class ImagingSystem:
     magnification: float
 
     def __post_init__(self):
-        if self.magnification == 0.0 or not math.isfinite(self.magnification):
-            raise ValidationError("magnification must be finite and nonzero")
+        nonzero("magnification", self.magnification)
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -240,8 +229,7 @@ class AodDeflector:
         if self.drive_frequency is None:
             object.__setattr__(self, "drive_frequency", self.center_frequency)
         for name in ("center_frequency", "acoustic_velocity", "drive_frequency"):
-            if not (getattr(self, name) > 0.0 and math.isfinite(getattr(self, name))):
-                raise ValidationError(f"{name} must be positive and finite")
+            positive(name, getattr(self, name))
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -264,8 +252,7 @@ class ImageRotator:
     angle: float
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValidationError("angle must be finite")
+        finite("angle", self.angle)
 
 
 @dataclass(frozen=True)
@@ -275,10 +262,7 @@ class BeamSampler:
     sample_fraction: float
 
     def __post_init__(self):
-        if not (0.0 <= self.sample_fraction < 1.0):
-            raise ValidationError(
-                f"sample_fraction must lie in [0, 1), got {self.sample_fraction}"
-            )
+        in_range("sample_fraction", self.sample_fraction, 0.0, 1.0, "[)")
 
     def ray_matrix(self, axis):
         _check_axis(axis)
@@ -292,9 +276,7 @@ class Aperture:
     half_width: float
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
-            raise ValidationError(
-                f"half_width must be positive and finite, got {self.half_width}")
+        positive("half_width", self.half_width)
 
 
 RAY_ELEMENTS = (FreeSpace, ThinLens, AnamorphicScaler, ImagingSystem, AodDeflector, BeamSampler)
@@ -421,10 +403,8 @@ class FieldProfile1D:
 
     def __post_init__(self):
         _check_axis(self.axis)
-        if self.wavelength <= 0.0:
-            raise ValidationError("wavelength must be positive")
-        if self.pitch <= 0.0:
-            raise ValidationError("pitch must be positive")
+        positive("wavelength", self.wavelength)
+        positive("pitch", self.pitch)
         arr = np.asarray(self.samples, dtype=complex)
         n = arr.shape[0]
         if arr.ndim != 1 or n < 2 or (n & (n - 1)) != 0:
@@ -462,10 +442,8 @@ def gaussian_profile(wavelength, waist_radius, count, half_extent, waist_positio
     parameter, so a beam whose waist sits ``waist_position`` metres
     downstream carries the matching converging/diverging phase front.
     """
-    if count < 2 or (count & (count - 1)) != 0:
-        raise ValidationError(f"count must be a power of two >= 2, got {count}")
-    if half_extent <= 0.0:
-        raise ValidationError("half_extent must be positive")
+    count = as_count("count", count, 2)  # FieldProfile1D requires a power of two
+    positive("half_extent", half_extent)
     z_r = math.pi * waist_radius**2 / wavelength
     # Phasor convention exp(+i k z): a diverging beam (waist upstream,
     # waist_position < 0) carries phase +k x^2 / (2 R) with R > 0, which is
@@ -548,9 +526,7 @@ def focused_profile(profile, focal_length):
     evaluated by FFT; output grid pitch is ``lambda f / (n * pitch)``.
     Power is conserved.
     """
-    lam_f = profile.wavelength * focal_length
-    if lam_f <= 0.0:
-        raise ValidationError("focal_length must be positive")
+    lam_f = profile.wavelength * positive("focal_length", focal_length)
     n = profile.samples.shape[0]
     xs = profile.coordinates
     us = np.fft.fftshift(np.fft.fftfreq(n, d=profile.pitch)) * lam_f
@@ -573,9 +549,7 @@ def focused_field_at(profile, focal_length, positions):
     Same transform as :func:`focused_profile` without grid quantisation;
     O(n * len(positions)), intended for a handful of probe points.
     """
-    lam_f = profile.wavelength * focal_length
-    if lam_f <= 0.0:
-        raise ValidationError("focal_length must be positive")
+    lam_f = profile.wavelength * positive("focal_length", focal_length)
     xs = profile.coordinates
     us = np.atleast_1d(np.asarray(positions, dtype=float))
     phases = np.exp(-2j * math.pi * np.outer(us, xs) / lam_f)

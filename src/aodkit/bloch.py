@@ -13,11 +13,9 @@ carried as Python complex scalars: 2-element arrays cost several times
 more per step in numpy call overhead than the arithmetic itself.
 """
 
-import math
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import finite, non_negative
 
 
 def _deriv(t, cg, ce, omega, delta):
@@ -41,10 +39,10 @@ def excited_population(omega, detuning, duration, tol=1e-11):
     Accuracy is controlled by the per-step tolerance ``tol``; the
     default holds closed-form comparisons to well under 1e-8.
     """
-    if not (duration >= 0.0 and math.isfinite(duration)):
-        raise ValidationError("duration must be finite and >= 0")
-    if not (math.isfinite(detuning) and (callable(omega) or math.isfinite(omega))):
-        raise ValidationError("omega and detuning must be finite")
+    non_negative("duration", duration)
+    finite("detuning", detuning)
+    if not callable(omega):
+        finite("omega", omega)
     if duration == 0.0:
         return 0.0
 

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, ValidationError, as_count
 from ..prism_designer import CONVENTION
 from .commands import HANDLERS, RunContext
 from .config import parse_config
@@ -101,8 +101,11 @@ def main(argv=None):
         cfg = parse_config(args.config)
         outdir = _resolve_outdir(args, cfg)
         seed = args.seed if args.seed is not None else cfg.seed
-        if seed is not None and seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if seed is not None:
+            try:
+                seed = as_count("seed", seed, 0)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from None
         ctx = RunContext(cfg=cfg, outdir=outdir, seed=seed,
                          target=getattr(args, "target", None))
 

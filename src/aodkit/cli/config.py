@@ -18,7 +18,8 @@ import yaml
 
 from .. import aod_model, beam_optics
 from ..addressing_analyzer import COUPLING_MODES, IonChain
-from ..errors import ConfigError, ValidationError
+from ..errors import (ConfigError, ValidationError, as_count, finite, in_range, non_negative,
+                      nonzero, positive)
 from ..prism_designer import PrismPairDesign, ToleranceSpec
 
 UM = 1e-6
@@ -27,22 +28,6 @@ MHZ = 1e6
 NS = 1e-9
 
 _MISSING = object()
-
-
-def _positive(v):
-    return None if v > 0 else "must be positive"
-
-
-def _non_negative(v):
-    return None if v >= 0 else "must be >= 0"
-
-
-def _nonzero(v):
-    return None if v != 0 else "must be nonzero"
-
-
-def _fraction(v):
-    return None if 0.0 <= v <= 1.0 else "must lie in [0, 1]"
 
 
 class _Section:
@@ -57,35 +42,40 @@ class _Section:
             violations.append(f"{path}: must be a mapping")
 
     def get(self, key, *, required=False, default=None, types=(int, float),
-            check=None, choices=None, scale=None):
+            check=finite, choices=None, scale=None):
+        """``data[key]`` (times ``scale``) if it is valid, else ``default``."""
         self.seen.add(key)
         if key not in self.data or self.data[key] is None:
             if required:
                 self.violations.append(f"{self.path}.{key}: required field is missing")
             return default
-        v = self.data[key]
-        if isinstance(v, bool) and bool not in types:
-            self.violations.append(f"{self.path}.{key}: expected a number, got a boolean")
+        v = self.value(f"{self.path}.{key}", self.data[key], types, check, choices)
+        if v is None:
             return default
-        if not isinstance(v, types):
-            names = "/".join(t.__name__ for t in types)
-            self.violations.append(
-                f"{self.path}.{key}: expected {names}, got {type(v).__name__}")
-            return default
-        if isinstance(v, float) and not math.isfinite(v):
-            self.violations.append(f"{self.path}.{key}: must be finite")
-            return default
-        if choices is not None and v not in choices:
-            self.violations.append(
-                f"{self.path}.{key}: must be one of {sorted(choices)}, got {v!r}")
-            return default
-        if check is not None:
-            msg = check(v)
-            if msg:
-                self.violations.append(f"{self.path}.{key}: {msg}")
-                return default
         if scale is not None:
             return float(v) * scale
+        return v
+
+    def value(self, path, v, types=(int, float), check=finite, choices=None):
+        """``v`` if it has one of ``types``, is one of ``choices`` and, as a
+        number, passes ``check`` (an :mod:`aodkit.errors` check, called with
+        ``path`` and ``v``); otherwise None, with the violation recorded."""
+        if isinstance(v, bool) and bool not in types:
+            self.violations.append(f"{path}: expected a number, got a boolean")
+            return None
+        if not isinstance(v, types):
+            names = "/".join(t.__name__ for t in types)
+            self.violations.append(f"{path}: expected {names}, got {type(v).__name__}")
+            return None
+        if choices is not None and v not in choices:
+            self.violations.append(f"{path}: must be one of {sorted(choices)}, got {v!r}")
+            return None
+        if isinstance(v, (int, float)):
+            try:
+                check(path, v)
+            except ValidationError as exc:
+                self.violations.append(f"{path}: {exc.reason}")
+                return None
         return v
 
     def subsection(self, key):
@@ -195,8 +185,8 @@ class SystemConfig:
 
 
 def _build_beam(sec, wavelength):
-    wx = sec.get("waist_x_um", required=True, check=_positive, scale=UM)
-    wz = sec.get("waist_z_um", required=True, check=_positive, scale=UM)
+    wx = sec.get("waist_x_um", required=True, check=positive, scale=UM)
+    wz = sec.get("waist_z_um", required=True, check=positive, scale=UM)
     px = sec.get("waist_position_x_um", default=0.0, scale=UM)
     pz = sec.get("waist_position_z_um", default=0.0, scale=UM)
     sec.finish()
@@ -254,19 +244,19 @@ def _build_train(entries, path, violations, aod_spec):
         try:
             if etype == "free_space":
                 elements.append(beam_optics.FreeSpace(
-                    sec.get("length_um", required=True, check=_non_negative, scale=UM) or 0.0))
+                    sec.get("length_um", required=True, check=non_negative, scale=UM) or 0.0))
             elif etype == "thin_lens":
-                f = sec.get("focal_length_um", required=True, check=_nonzero, scale=UM)
+                f = sec.get("focal_length_um", required=True, check=nonzero, scale=UM)
                 axis = sec.get("axis", default="both", types=(str,),
                                choices=("x", "z", "both"))
                 if f is not None:
                     elements.append(beam_optics.ThinLens(f, axis=axis))
             elif etype == "anamorphic_scaler":
                 elements.append(beam_optics.AnamorphicScaler(
-                    mx=sec.get("mx", default=1.0, check=_positive),
-                    mz=sec.get("mz", default=1.0, check=_positive)))
+                    mx=sec.get("mx", default=1.0, check=positive),
+                    mz=sec.get("mz", default=1.0, check=positive)))
             elif etype == "imaging_system":
-                m = sec.get("magnification", required=True, check=_nonzero)
+                m = sec.get("magnification", required=True, check=nonzero)
                 if m is not None:
                     elements.append(beam_optics.ImagingSystem(float(m)))
             elif etype == "aod":
@@ -274,14 +264,15 @@ def _build_train(entries, path, violations, aod_spec):
                     violations.append(
                         f"{epath}: an 'aod' element needs the top-level aod section")
                 else:
-                    drive = sec.get("drive_frequency_mhz", check=_positive, scale=MHZ)
+                    drive = sec.get("drive_frequency_mhz", check=positive, scale=MHZ)
                     elements.append(aod_spec.deflector(drive_frequency=drive))
             elif etype == "image_rotator":
                 angle = sec.get("angle_deg", required=True)
                 if angle is not None:
                     elements.append(beam_optics.ImageRotator(math.radians(float(angle))))
             elif etype == "beam_sampler":
-                frac = sec.get("sample_fraction", required=True, check=_fraction)
+                frac = sec.get("sample_fraction", required=True,
+                               check=lambda path, v: in_range(path, v, 0.0, 1.0))
                 if frac is not None:
                     elements.append(beam_optics.BeamSampler(float(frac)))
         except ValidationError as exc:
@@ -295,21 +286,21 @@ def _build_train(entries, path, violations, aod_spec):
 
 
 def _build_prism(sec):
-    alpha = sec.get("alpha_deg", required=True, check=_positive)
-    alpha_prime = sec.get("alpha_prime_deg", required=True, check=_positive)
-    beta = sec.get("beta_deg", required=True, check=_non_negative)
-    beta_prime = sec.get("beta_prime_deg", required=True, check=_non_negative)
+    alpha = sec.get("alpha_deg", required=True, check=positive)
+    alpha_prime = sec.get("alpha_prime_deg", required=True, check=positive)
+    beta = sec.get("beta_deg", required=True, check=non_negative)
+    beta_prime = sec.get("beta_prime_deg", required=True, check=non_negative)
     index = sec.get("refractive_index", required=True,
-                    check=lambda v: None if 1.0 <= v < 5.0 else "must lie in [1, 5)")
-    target = sec.get("target_expansion", default=None, check=_positive)
-    samples = sec.get("monte_carlo_samples", default=100000, types=(int,), check=_positive)
+                    check=lambda path, v: in_range(path, v, 1.0, 5.0, "[)"))
+    target = sec.get("target_expansion", default=None, check=positive)
+    samples = sec.get("monte_carlo_samples", default=100000, types=(int,), check=positive)
     tol_sec = sec.subsection("tolerances_deg")
     if tol_sec is not None:
         tol = ToleranceSpec(
-            alpha=tol_sec.get("alpha", default=1.0, check=_non_negative),
-            alpha_prime=tol_sec.get("alpha_prime", default=1.0, check=_non_negative),
-            beta=tol_sec.get("beta", default=0.25, check=_non_negative),
-            beta_prime=tol_sec.get("beta_prime", default=0.25, check=_non_negative),
+            alpha=tol_sec.get("alpha", default=1.0, check=non_negative),
+            alpha_prime=tol_sec.get("alpha_prime", default=1.0, check=non_negative),
+            beta=tol_sec.get("beta", default=0.25, check=non_negative),
+            beta_prime=tol_sec.get("beta_prime", default=0.25, check=non_negative),
         )
         tol_sec.finish()
     else:
@@ -329,13 +320,13 @@ def _build_prism(sec):
 
 
 def _build_aod(sec, wavelength):
-    fc = sec.get("center_frequency_mhz", required=True, check=_positive, scale=MHZ)
-    bw = sec.get("bandwidth_mhz", required=True, check=_positive, scale=MHZ)
-    vel = sec.get("acoustic_velocity_m_s", required=True, check=_positive)
-    waist = sec.get("crystal_waist_um", required=True, check=_positive, scale=UM)
+    fc = sec.get("center_frequency_mhz", required=True, check=positive, scale=MHZ)
+    bw = sec.get("bandwidth_mhz", required=True, check=positive, scale=MHZ)
+    vel = sec.get("acoustic_velocity_m_s", required=True, check=positive)
+    waist = sec.get("crystal_waist_um", required=True, check=positive, scale=UM)
     peak = sec.get("peak_efficiency", default=1.0,
-                   check=lambda v: None if 0 < v <= 1 else "must lie in (0, 1]")
-    width = sec.get("efficiency_width_mhz", default=None, check=_positive, scale=MHZ)
+                   check=lambda path, v: in_range(path, v, 0.0, 1.0, "(]"))
+    width = sec.get("efficiency_width_mhz", default=None, check=positive, scale=MHZ)
     sec.finish()
     if None in (fc, bw, vel, waist) or wavelength is None:
         return None
@@ -347,10 +338,10 @@ def _build_aod(sec, wavelength):
 
 def _build_monitor(sec):
     frac = sec.get("sample_fraction", required=True,
-                   check=lambda v: None if 0 < v < 1 else "must lie in (0, 1)")
-    resp = sec.get("responsivity_a_w", required=True, check=_positive)
-    gain = sec.get("tia_gain_v_a", required=True, check=_positive)
-    power = sec.get("beam_power_w", required=True, check=_positive)
+                   check=lambda path, v: in_range(path, v, 0.0, 1.0, "()"))
+    resp = sec.get("responsivity_a_w", required=True, check=positive)
+    gain = sec.get("tia_gain_v_a", required=True, check=positive)
+    power = sec.get("beam_power_w", required=True, check=positive)
     sec.finish()
     if None in (frac, resp, gain, power):
         return None
@@ -362,8 +353,8 @@ def _build_monitor(sec):
 
 def _build_chain(sec):
     positions = sec.get("positions_um", default=None, types=(list,))
-    count = sec.get("count", default=None, types=(int,), check=_positive)
-    spacing = sec.get("spacing_um", default=None, check=_positive, scale=UM)
+    count = sec.get("count", default=None, types=(int,), check=positive)
+    spacing = sec.get("spacing_um", default=None, check=positive, scale=UM)
     center = sec.get("center_um", default=0.0, scale=UM)
     sec.finish()
     if positions is not None and (count is not None or spacing is not None):
@@ -388,26 +379,21 @@ def _build_chain(sec):
 
 
 def _build_addressing(sec):
-    waist = sec.get("ion_waist_um", required=True, check=_positive, scale=UM)
-    perp = sec.get("perpendicular_waist_um", required=True, check=_positive, scale=UM)
+    waist = sec.get("ion_waist_um", required=True, check=positive, scale=UM)
+    perp = sec.get("perpendicular_waist_um", required=True, check=positive, scale=UM)
     coupling = sec.get("coupling", default="intensity", types=(str,),
                        choices=COUPLING_MODES)
     mis = sec.get("misalignment_deg", default=1.0)
-    half = sec.get("steering_half_range_um", default=75.0, check=_non_negative, scale=UM)
+    half = sec.get("steering_half_range_um", default=75.0, check=non_negative, scale=UM)
     ratios = sec.get("clipping_ratios", default=[0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0],
                      types=(list,))
-    coll = sec.get("collimated_waist_um", default=1500.0, check=_positive, scale=UM)
+    coll = sec.get("collimated_waist_um", default=1500.0, check=positive, scale=UM)
     sec.finish()
     if None in (waist, perp):
         return None
-    clean_ratios = []
-    for i, r in enumerate(ratios):
-        if (isinstance(r, bool) or not isinstance(r, (int, float))
-                or not (r > 0 and math.isfinite(r))):
-            sec.violations.append(
-                f"{sec.path}.clipping_ratios[{i}]: must be a positive number")
-        else:
-            clean_ratios.append(float(r))
+    checked = [sec.value(f"{sec.path}.clipping_ratios[{i}]", r, check=positive)
+               for i, r in enumerate(ratios)]
+    clean_ratios = [float(r) for r in checked if r is not None]
     return AddressingSection(
         ion_waist=waist, perpendicular_waist=perp, coupling=coupling,
         misalignment_angle=math.radians(float(mis)),
@@ -416,24 +402,24 @@ def _build_addressing(sec):
 
 
 def _get_shots(sec):
-    shots = sec.get("shots", default=None, types=(int,), check=_positive)
+    shots = sec.get("shots", default=None, types=(int,), check=positive)
     return int(shots) if shots is not None else None
 
 
 def _scan_setup(sec, default_points, **beam):
     """The seven keys every frequency scan shares, plus ``beam`` as given."""
     setup = ScanSetup(
-        pi_time=sec.get("pi_time_ns", required=True, check=_positive, scale=NS),
-        drive_time=sec.get("drive_time_ns", required=True, check=_positive, scale=NS),
-        frequency_start=sec.get("frequency_start_mhz", required=True, check=_positive,
+        pi_time=sec.get("pi_time_ns", required=True, check=positive, scale=NS),
+        drive_time=sec.get("drive_time_ns", required=True, check=positive, scale=NS),
+        frequency_start=sec.get("frequency_start_mhz", required=True, check=positive,
                                 scale=MHZ),
-        frequency_stop=sec.get("frequency_stop_mhz", required=True, check=_positive,
+        frequency_stop=sec.get("frequency_stop_mhz", required=True, check=positive,
                                scale=MHZ),
         points=sec.get("points", default=default_points, types=(int,),
-                       check=lambda v: None if v >= 4 else "need at least 4 points"),
+                       check=lambda path, v: as_count(path, v, 4)),
         shots=_get_shots(sec),
         steering_efficiency=sec.get("steering_efficiency_um_per_mhz", default=None,
-                                    check=_nonzero, scale=UM / MHZ),
+                                    check=nonzero, scale=UM / MHZ),
         **beam,
     )
     sec.finish()
@@ -447,8 +433,8 @@ def _build_experiments(sec):
     if ps is not None:
         profile = _scan_setup(
             ps, 201,
-            waist=ps.get("waist_um", required=True, check=_positive, scale=UM),
-            center_frequency=ps.get("beam_center_mhz", required=True, check=_positive,
+            waist=ps.get("waist_um", required=True, check=positive, scale=UM),
+            center_frequency=ps.get("beam_center_mhz", required=True, check=positive,
                                     scale=MHZ))
 
     cs = sec.subsection("chain_scan")
@@ -459,11 +445,11 @@ def _build_experiments(sec):
     if ct is not None:
         crosstalk = CrosstalkSetup(
             target_ion=ct.get("target_ion", required=True, types=(int,),
-                              check=_non_negative),
-            pi_time=ct.get("pi_time_ns", required=True, check=_positive, scale=NS),
-            max_time=ct.get("max_time_ns", required=True, check=_positive, scale=NS),
+                              check=non_negative),
+            pi_time=ct.get("pi_time_ns", required=True, check=positive, scale=NS),
+            max_time=ct.get("max_time_ns", required=True, check=positive, scale=NS),
             points=ct.get("points", default=400, types=(int,),
-                          check=lambda v: None if v >= 8 else "need at least 8 points"),
+                          check=lambda path, v: as_count(path, v, 8)),
             shots=_get_shots(ct),
         )
         ct.finish()
@@ -473,20 +459,20 @@ def _build_experiments(sec):
         switching = SwitchingSetup(
             model=sw.get("model", default="pure_delay", types=(str,),
                          choices=("pure_delay", "transit_ramp", "linear_ramp")),
-            switch_delay=sw.get("switch_delay_ns", default=0.0, check=_non_negative,
+            switch_delay=sw.get("switch_delay_ns", default=0.0, check=non_negative,
                                 scale=NS),
-            settle_time=sw.get("settle_time_ns", default=0.0, check=_non_negative,
+            settle_time=sw.get("settle_time_ns", default=0.0, check=non_negative,
                                scale=NS),
-            pi2_time_ion0=sw.get("pi2_time_ion0_ns", required=True, check=_positive,
+            pi2_time_ion0=sw.get("pi2_time_ion0_ns", required=True, check=positive,
                                  scale=NS),
-            pi2_time_ion1=sw.get("pi2_time_ion1_ns", required=True, check=_positive,
+            pi2_time_ion1=sw.get("pi2_time_ion1_ns", required=True, check=positive,
                                  scale=NS),
-            extra_start=sw.get("extra_time_start_ns", default=0.0, check=_non_negative,
+            extra_start=sw.get("extra_time_start_ns", default=0.0, check=non_negative,
                                scale=NS),
-            extra_stop=sw.get("extra_time_stop_ns", required=True, check=_positive,
+            extra_stop=sw.get("extra_time_stop_ns", required=True, check=positive,
                               scale=NS),
             points=sw.get("points", default=181, types=(int,),
-                          check=lambda v: None if v >= 8 else "need at least 8 points"),
+                          check=lambda path, v: as_count(path, v, 8)),
             shots=_get_shots(sw),
         )
         sw.finish()
@@ -531,7 +517,7 @@ def parse_config(path):
     violations = []
     root = _Section(data, "config", violations)
 
-    seed = root.get("seed", default=None, types=(int,), check=_non_negative)
+    seed = root.get("seed", default=None, types=(int,), check=non_negative)
     out_sec = root.subsection("output")
     outdir = None
     if out_sec is not None:
@@ -543,7 +529,7 @@ def parse_config(path):
     if sys_sec is None:
         violations.append("config.system: required section is missing")
     else:
-        wavelength = sys_sec.get("wavelength_um", required=True, check=_positive, scale=UM)
+        wavelength = sys_sec.get("wavelength_um", required=True, check=positive, scale=UM)
         sys_sec.finish()
 
     aod_sec = root.subsection("aod")

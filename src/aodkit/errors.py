@@ -1,12 +1,26 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy and the input checks shared by the toolkit.
 
 Two user-facing families matter for the CLI exit-code contract:
 ``ConfigError`` (malformed configuration, exit code 2) and
 ``DomainError`` (valid configuration but physically or numerically
 infeasible request, exit code 1).
+
+Every range check on an input is one of :func:`finite`,
+:func:`positive`, :func:`non_negative`, :func:`nonzero`,
+:func:`in_range`, :func:`increasing_grid` and :func:`as_count`.  Each
+takes the value's name and the value, returns the value (an array as a
+float array) and otherwise raises :class:`ValidationError` with the
+message ``"<name> <reason>, got <value>"``; a non-finite value always
+gives the reason ``"must be finite"``.  The error keeps ``reason`` on
+its own, so the config parser reports ``"<key path>: <reason>"``.
+A valid Python or numpy scalar passes on plain comparisons; only arrays
+go through numpy.
 """
 
+import math
 import operator
+
+import numpy as np
 
 
 class AodkitError(Exception):
@@ -36,7 +50,14 @@ class ConfigError(AodkitError):
 
 
 class ValidationError(DomainError):
-    """A value passed directly to a library API is out of domain."""
+    """A value passed directly to a library API is out of domain.
+
+    ``reason`` is the message without the value's name and value.
+    """
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        self.reason = message if reason is None else reason
 
 
 class InvalidElementError(DomainError):
@@ -105,13 +126,98 @@ class OutOfBandWarning(UserWarning):
     """A drive frequency lies outside the rated AOD band."""
 
 
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+_SCALARS = (int, float, np.number)
+_INF = math.inf
+
+
+def _invalid(name, reason, value):
+    return ValidationError(f"{name} {reason}, got {value}", reason)
+
+
+# Each check passes a valid scalar on one comparison chain (NaN fails every
+# comparison, and the infinite bounds reject +/-inf) and hands the rest to
+# _check: a scalar that got there is invalid, an array is checked by numpy.
+def _check(name, value, ok, reason):
+    """``value`` as a float array when it is finite and ``ok`` holds for
+    every element; otherwise a :class:`ValidationError` naming the first
+    bad element.  ``reason`` says what ``ok`` asks, or formats it."""
+    if isinstance(value, _SCALARS):
+        bad = value
+    else:
+        value = np.asarray(value, dtype=float)
+        good = ok(value) & np.isfinite(value)
+        if good.all():
+            return value
+        bad = float(value[~good].flat[0])
+    if not math.isfinite(bad):
+        reason = "must be finite"
+    raise _invalid(name, reason() if callable(reason) else reason, bad)
+
+
+def finite(name, value):
+    if isinstance(value, _SCALARS) and -_INF < value < _INF:
+        return value
+    return _check(name, value, lambda v: True, "must be finite")
+
+
+def positive(name, value):
+    if isinstance(value, _SCALARS) and 0.0 < value < _INF:
+        return value
+    return _check(name, value, lambda v: v > 0.0, "must be positive")
+
+
+def non_negative(name, value):
+    if isinstance(value, _SCALARS) and 0.0 <= value < _INF:
+        return value
+    return _check(name, value, lambda v: v >= 0.0, "must be >= 0")
+
+
+def nonzero(name, value):
+    if isinstance(value, _SCALARS) and -_INF < value < _INF and value != 0.0:
+        return value
+    return _check(name, value, lambda v: v != 0.0, "must be nonzero")
+
+
+def in_range(name, value, lo, hi, ends="[]"):
+    """``value`` between ``lo`` and ``hi``; ``ends`` marks each end closed
+    (``[``, ``]``) or open (``(``, ``)``), as in ``"(]"``."""
+    lo_open, hi_open = ends[0] == "(", ends[1] == ")"
+    if (isinstance(value, _SCALARS) and lo <= value <= hi and -_INF < value < _INF
+            and not (lo_open and value == lo or hi_open and value == hi)):
+        return value
+    return _check(name, value,
+                  lambda v: (v > lo if lo_open else v >= lo) & (v < hi if hi_open else v <= hi),
+                  lambda: f"must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}")
+
+
+def increasing_grid(name, values, min_size):
+    """``values`` as a finite, strictly increasing 1-D float array of at
+    least ``min_size`` points."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < min_size:
+        raise _invalid(name, f"must be a 1-D grid of >= {min_size} points",
+                       f"shape {arr.shape}")
+    finite(name, arr)
+    steps = np.diff(arr)
+    if not (steps > 0.0).all():
+        i = int(np.argmin(steps > 0.0))
+        raise _invalid(name, "must be strictly increasing", f"{arr[i + 1]} after {arr[i]}")
+    return arr
+
+
 def as_count(name, value, minimum):
-    """``value`` as an int of at least ``minimum``; a float, a NaN or a
-    string raises :class:`ValidationError` instead of being truncated."""
+    """``value`` as an int of at least ``minimum``; a bool, a float, a NaN
+    or a string raises :class:`ValidationError` instead of being truncated."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        raise _invalid(name, "must be an integer", repr(value)) from None
     if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+        raise _invalid(name, f"must be >= {minimum}", value)
     return value

@@ -25,14 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InfeasibleDesignError,
-    TotalInternalReflectionError,
-    UnachievableTargetError,
-    ValidationError,
-    as_count,
-)
+from .errors import (ConvergenceError, InfeasibleDesignError, TotalInternalReflectionError,
+                     UnachievableTargetError, as_count, in_range, increasing_grid,
+                     non_negative, positive)
 
 CONVENTION = "grazing-chained"  # the angle reading above, as reports name it
 
@@ -58,18 +53,11 @@ class PrismPairDesign:
     refractive_index: float
 
     def __post_init__(self):
-        for name in ("alpha", "alpha_prime"):
-            v = getattr(self, name)
-            if not (0.0 < v < 90.0):
-                raise ValidationError(f"{name} must lie in (0, 90) degrees, got {v}")
-        for name in ("beta", "beta_prime"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 90.0):
-                raise ValidationError(f"{name} must lie in [0, 90) degrees, got {v}")
-        if not (1.0 <= self.refractive_index < 5.0):
-            raise ValidationError(
-                f"refractive_index must lie in [1, 5), got {self.refractive_index}"
-            )
+        in_range("alpha", self.alpha, 0.0, 90.0, "()")
+        in_range("alpha_prime", self.alpha_prime, 0.0, 90.0, "()")
+        in_range("beta", self.beta, 0.0, 90.0, "[)")
+        in_range("beta_prime", self.beta_prime, 0.0, 90.0, "[)")
+        in_range("refractive_index", self.refractive_index, 1.0, 5.0, "[)")
 
     def angles(self):
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
@@ -192,25 +180,14 @@ class ExpansionContour:
     feasible: np.ndarray
 
 
-def _check_grid(name, grid):
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-D grid")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must be finite")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-        raise ValidationError(f"{name} must be strictly increasing")
-    return arr
-
-
 def expansion_contour(alpha_grid, alpha_prime_grid, beta, beta_prime, refractive_index):
     """Expansion factor over a mounting-angle grid.
 
     Grid points whose geometry is infeasible are flagged in ``feasible``
     and carried as NaN in ``values`` rather than dropped.
     """
-    alphas = _check_grid("alpha_grid", alpha_grid)
-    alpha_primes = _check_grid("alpha_prime_grid", alpha_prime_grid)
+    alphas = increasing_grid("alpha_grid", alpha_grid, 1)
+    alpha_primes = increasing_grid("alpha_prime_grid", alpha_prime_grid, 1)
     values, surface = _expansion_many(
         alphas[:, None], alpha_primes[None, :], beta, beta_prime, refractive_index,
     )
@@ -244,8 +221,7 @@ def solve_alpha_prime(target, alpha, beta, beta_prime, refractive_index):
     the achievable range on the bracket; an interval over which M is flat
     at the target returns an endpoint flagged as degenerate.
     """
-    if not (target > 0.0 and math.isfinite(target)):
-        raise ValidationError(f"target expansion must be positive and finite, got {target}")
+    positive("target", target)
     lo, hi = ALPHA_PRIME_BRACKET
 
     def m_of(ap):
@@ -342,8 +318,7 @@ class ToleranceSpec:
 
     def __post_init__(self):
         for name in ANGLE_NAMES:
-            if not (getattr(self, name) >= 0.0 and math.isfinite(getattr(self, name))):
-                raise ValidationError(f"tolerance {name} must be finite and >= 0")
+            non_negative(f"tolerance {name}", getattr(self, name))
 
     def as_tuple(self):
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)

@@ -27,13 +27,9 @@ import numpy as np
 
 from . import aod_model
 from .addressing_analyzer import relative_rate
-from .errors import (
-    FitFailureError,
-    OutOfRangeError,
-    UnbracketedMinimumError,
-    ValidationError,
-    as_count,
-)
+from .errors import (FitFailureError, OutOfRangeError, UnbracketedMinimumError, ValidationError,
+                     as_count, finite, in_range, increasing_grid, non_negative, nonzero,
+                     positive)
 
 # ---------------------------------------------------------------------------
 # Drives and traces
@@ -49,18 +45,14 @@ class RabiDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if not (self.peak_rabi >= 0.0 and math.isfinite(self.peak_rabi)):
-            raise ValidationError("peak_rabi must be finite and >= 0")
-        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
-            raise ValidationError("duration must be finite and >= 0")
-        if not math.isfinite(self.detuning):
-            raise ValidationError("detuning must be finite")
+        non_negative("peak_rabi", self.peak_rabi)
+        non_negative("duration", self.duration)
+        finite("detuning", self.detuning)
 
     @classmethod
     def from_pi_time(cls, pi_time):
         """Resonant pi pulse of length ``pi_time`` (s)."""
-        if pi_time <= 0.0:
-            raise ValidationError("pi_time must be positive")
+        positive("pi_time", pi_time)
         return cls(peak_rabi=math.pi / pi_time, duration=pi_time)
 
     @property
@@ -83,9 +75,7 @@ def _excitation(rates, detuning, t):
 
 def rabi_probability(drive, t):
     """Two-level excitation probability after driving for time ``t``."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValidationError("t must be finite")
+    t = finite("t", t)
     p = _excitation(drive.peak_rabi, drive.detuning, t)
     return float(p) if np.ndim(t) == 0 else p
 
@@ -115,12 +105,10 @@ class ScanTrace:
         v = np.asarray(self.values, dtype=float)
         if x.ndim != 1 or x.shape != v.shape:
             raise ValidationError("x and values must be matching 1-D arrays")
-        if not np.isfinite(x).all():
-            raise ValidationError("trace x must be finite")
-        if not np.all((v >= 0.0) & (v <= 1.0)):
-            raise ValidationError("trace values must lie in [0, 1]")
-        if self.shots is not None and self.shots < 1:
-            raise ValidationError("shots must be >= 1 or None")
+        finite("trace x", x)
+        in_range("trace values", v, 0.0, 1.0)
+        if self.shots is not None:
+            object.__setattr__(self, "shots", as_count("shots", self.shots, 1))
         x = x.copy(); x.flags.writeable = False
         v = v.copy(); v.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -154,33 +142,16 @@ def _uint32_words(n):
     return [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _check_grid(name, x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError(f"{name} must hold at least two points")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must be finite")
-    if not np.all(np.diff(arr) > 0.0):
-        raise ValidationError(f"{name} must be strictly increasing")
-    if arr[0] < 0.0:
-        raise ValidationError(f"{name} must be non-negative")
-    return arr
-
-
 def _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency):
     """Validate the beam and sweep of a frequency scan; returns the grid."""
-    if not (ion_waist > 0.0 and math.isfinite(ion_waist)):
-        raise ValidationError("ion_waist must be positive and finite")
-    if not (steering_efficiency != 0.0 and math.isfinite(steering_efficiency)):
-        raise ValidationError("steering_efficiency must be nonzero and finite")
-    if not math.isfinite(center_frequency):
-        raise ValidationError("center_frequency must be finite")
+    positive("ion_waist", ion_waist)
+    nonzero("steering_efficiency", steering_efficiency)
+    finite("center_frequency", center_frequency)
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.size < 4:
-        raise ValidationError("frequencies must hold at least four points")
-    if not np.isfinite(freqs).all():
-        raise ValidationError("frequencies must be finite")
-    return freqs
+        raise ValidationError(
+            f"frequencies must be a 1-D grid of >= 4 points, got shape {freqs.shape}")
+    return finite("frequencies", freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +263,7 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     if trace.kind != "frequency":
         raise ValidationError("profile fit expects a frequency-scan trace")
     freqs, p1 = trace.x, trace.values
-    t = drive.duration
-    if t <= 0.0:
-        raise ValidationError("drive duration must be positive")
+    t = positive("drive duration", drive.duration)
     if drive.detuning != 0.0:
         raise ValidationError("profile fit models a resonant drive; detuning must be 0")
     peak = float(p1.max())
@@ -521,11 +490,13 @@ def simulate_crosstalk_experiment(chain, ion_waist, target_index, times, drive,
     neighbours use the supplied long ``times`` grid.  Rates are fitted
     per ion and reported as ratios to the fitted target rate.
     """
-    times = _check_grid("times", times)
-    if not (0 <= target_index < len(chain)):
-        raise ValidationError(f"target_index {target_index} outside chain of {len(chain)}")
-    if drive.peak_rabi <= 0.0:
-        raise ValidationError("crosstalk experiment needs a nonzero drive")
+    times = increasing_grid("times", times, 2)
+    non_negative("times", times[0])
+    target_index = as_count("target_index", target_index, 0)
+    if target_index >= len(chain):
+        raise ValidationError(
+            f"target_index must be < {len(chain)}, the chain length, got {target_index}")
+    positive("drive peak_rabi", drive.peak_rabi)
 
     positions = chain.array
     offsets = np.abs(positions - positions[target_index])
@@ -595,8 +566,7 @@ class PureDelay:
     delay: float
 
     def __post_init__(self):
-        if not (self.delay >= 0.0 and math.isfinite(self.delay)):
-            raise ValidationError("delay must be finite and >= 0")
+        non_negative("delay", self.delay)
 
     def area(self, duration):
         return np.maximum(np.asarray(duration, dtype=float) - self.delay, 0.0)
@@ -630,12 +600,9 @@ class SwitchSequence:
     settle_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("pi2_time_ion0", "pi2_time_ion1"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite")
-        if not (self.settle_time >= 0.0 and math.isfinite(self.settle_time)):
-            raise ValidationError("settle_time must be finite and >= 0")
+        positive("pi2_time_ion0", self.pi2_time_ion0)
+        positive("pi2_time_ion1", self.pi2_time_ion1)
+        non_negative("settle_time", self.settle_time)
         if not hasattr(self.model, "area"):
             raise ValidationError("model must expose an area(duration) method")
 
@@ -658,7 +625,8 @@ def simulate_switching_experiment(sequence, extra_times, shots=None, seed=None):
     The |difference| trace dips to zero when the extra time compensates
     the switching dead time.
     """
-    extra = _check_grid("extra_times", extra_times)
+    extra = increasing_grid("extra_times", extra_times, 2)
+    non_negative("extra_times", extra[0])
     omega1 = 0.5 * math.pi / sequence.pi2_time_ion1
     phase = omega1 * np.asarray(sequence.model.area(sequence.pi2_time_ion1 + extra))
     p1 = np.column_stack([np.full(extra.shape, 0.5), np.sin(0.5 * phase) ** 2])

@@ -6,8 +6,8 @@ from scipy.special import erf, wofz
 
 from aodkit import addressing_analyzer as aa
 from aodkit import beam_optics as bo
-from aodkit import virtual_lab as vl
 from aodkit.errors import ValidationError
+from test_validation import assert_rejected, rejection_cases
 
 # exp(-2 d^2 / w^2) and exp(-d^2 / w^2) at w = 1.5 um, d = 3.8 um
 IDEAL_XTALK_INTENSITY = 2.6643363505138902e-06
@@ -162,25 +162,9 @@ def test_clipped_crosstalk_matches_wofz_route(mode):
         assert np.max(np.abs(got - _wofz_crosstalk(long_, 1e-6, rho, mode))) <= 1e-12, rho
 
 
-@pytest.mark.parametrize("build", [
-    lambda: aa.clipped_crosstalk(aa.IonChain.uniform(3, 3.8e-6), 1.5e-6, math.nan),
-    lambda: aa.clipped_crosstalk(aa.IonChain.uniform(3, 3.8e-6), math.inf, 1.0),
-    lambda: aa.relative_rate(math.nan, 1e-6),
-    lambda: aa.IonChain((math.nan,)),
-    lambda: vl.RabiDrive(math.nan, 1.0),
-    lambda: aa.misalignment_imbalance(math.nan, 75e-6, 8.5e-6),
-    lambda: aa.misalignment_imbalance(math.radians(1.0), 75e-6, math.inf),
-    lambda: aa.misalignment_imbalance(math.radians(1.0), math.nan, 8.5e-6),
-    lambda: aa.crosstalk_matrix(aa.IonChain.uniform(3, 3.8e-6), 1.5e-6,
-                                beam_centers=[0.0, math.nan, 1e-6]),
-    lambda: aa.relative_rate(1.5e-6, math.nan),
-    lambda: aa.relative_rate(1.5e-6, np.array([0.0, math.nan, 1e-6])),
-], ids=["clipping_ratio", "ion_plane_waist", "waist", "ion_position", "peak_rabi",
-        "misalignment_angle", "perpendicular_waist", "half_range", "beam_centers",
-        "rate_offset_nan", "rate_offset_array"])
+@pytest.mark.parametrize("build", rejection_cases("addressing_analyzer"))
 def test_non_finite_input_rejected(build):
-    with pytest.raises(ValidationError):
-        build()
+    assert_rejected(build)
 
 
 def test_misalignment_imbalance_frozen():

@@ -9,6 +9,7 @@ from scipy.special import erf, erfinv
 from aodkit import aod_model as am
 from aodkit import beam_optics as bo
 from aodkit.errors import OutOfBandWarning, TrainStructureError, ValidationError
+from test_validation import assert_rejected, rejection_cases
 
 SPEC = am.AodSpec(center_frequency=150e6, bandwidth=100e6,
                   acoustic_velocity=5700.0, optical_wavelength=355e-9,
@@ -188,36 +189,9 @@ def test_monitor_voltage_product_and_linearity():
     assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
 
-_CHAIN = am.MonitorChain(sample_fraction=0.01, responsivity=0.2, transimpedance_gain=1e4)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3, efficiency_width=math.nan),
-    lambda: am.AodSpec(150e6, 100e6, math.inf, 355e-9, 1.5e-3),
-    lambda: am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3, peak_efficiency=math.nan),
-    lambda: am.MonitorChain(0.01, math.nan, 1e4),
-    lambda: am.MonitorChain(0.01, 0.2, math.inf),
-    lambda: am.monitor_voltage(_CHAIN, math.nan, 0.5),
-    lambda: am.monitor_voltage(_CHAIN, math.inf, 0.5),
-    lambda: am.monitor_voltage(_CHAIN, 1.0, np.array([0.5, math.nan])),
-    lambda: am.deflection_angle(SPEC, math.nan),
-    lambda: am.deflection_angle(SPEC, math.inf),
-    lambda: am.deflection_angle(SPEC, np.array([150e6, math.nan])),
-    lambda: am.diffraction_efficiency(SPEC, math.nan),
-    lambda: am.diffraction_efficiency(SPEC, -math.inf),
-    lambda: am.diffraction_efficiency(SPEC, np.array([150e6, math.inf])),
-    lambda: am.transit_ramp(SPEC, math.nan),
-    lambda: am.transit_ramp(SPEC, np.array([0.0, math.nan]), model="linear"),
-    lambda: am.ramp_area(SPEC, math.nan),
-    lambda: am.ramp_area(SPEC, np.array([1e-7, math.nan]), model="linear"),
-], ids=["efficiency_width", "acoustic_velocity", "peak_efficiency", "responsivity",
-        "transimpedance_gain", "beam_power_nan", "beam_power_inf", "efficiency",
-        "deflection_nan", "deflection_inf", "deflection_array",
-        "efficiency_drive_nan", "efficiency_drive_inf", "efficiency_drive_array",
-        "ramp_nan", "ramp_array_linear", "ramp_area_nan", "ramp_area_array_linear"])
+@pytest.mark.parametrize("build", rejection_cases("aod_model"))
 def test_non_finite_input_rejected(build):
-    with pytest.raises(ValidationError):
-        build()
+    assert_rejected(build)
 
 
 def test_erf_matches_scipy_special():

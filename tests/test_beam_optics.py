@@ -5,6 +5,7 @@ import pytest
 
 from aodkit import beam_optics as bo
 from aodkit.errors import InvalidElementError, ResolutionError, ValidationError
+from test_validation import assert_rejected, rejection_cases
 
 LAM = 355e-9
 
@@ -141,18 +142,9 @@ def test_lost_confinement_raises_invalid_element():
         bo._apply_matrix(beam, beam.x, beam.rayleigh_range("x"), ((1.0, 0.0), (0.0, -1.0)))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: bo.Aperture(half_width=math.nan),
-    lambda: bo.Aperture(half_width=math.inf),
-    lambda: bo.AodDeflector(math.nan, 5700.0),
-    lambda: bo.AodDeflector(150e6, math.inf),
-    lambda: bo.AodDeflector(150e6, 5700.0, drive_frequency=math.nan),
-    lambda: bo.spot_size_at(_beam(), "x", math.nan),
-], ids=["aperture_nan", "aperture_inf", "aod_center", "aod_velocity", "aod_drive",
-        "spot_distance"])
+@pytest.mark.parametrize("build", rejection_cases("beam_optics"))
 def test_non_finite_input_rejected(build):
-    with pytest.raises(ValidationError):
-        build()
+    assert_rejected(build)
 
 
 def test_lens_focuses_collimated_beam():

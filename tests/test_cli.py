@@ -161,8 +161,7 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, capsys, command, se
 def test_non_finite_clipping_ratio_is_a_config_error(tmp_path, capsys, bad):
     cfg = _edited_config(tmp_path, "addressing", clipping_ratios=[0.6, bad])
     assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config.addressing.clipping_ratios[1]: must be a positive number" in \
-        capsys.readouterr().err
+    assert "config.addressing.clipping_ratios[1]: must be finite" in capsys.readouterr().err
 
 
 def test_chain_with_positions_and_count_is_a_config_error(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from aodkit import addressing_analyzer as aa
 from aodkit import aod_model as am
-from aodkit import bloch
 from aodkit import virtual_lab as vl
 from aodkit.errors import OutOfRangeError, UnbracketedMinimumError, ValidationError
+from test_validation import assert_rejected, rejection_cases
 
 SPEC = am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3)
 STEERING_EFF = 1.557017543859649e-12  # m per Hz
@@ -426,10 +426,8 @@ def test_negative_seed_rejected():
                                  shots=10, seed=-1)
 
 
-_CHAIN = aa.IonChain.uniform(3, 3.8e-6)
 _DRIVE = vl.RabiDrive.from_pi_time(2000e-9)
 _FREQS = np.linspace(145e6, 155e6, 11)
-_TIMES = np.linspace(0.0, 1e-4, 11)
 
 
 @pytest.mark.parametrize("shots, seed", [
@@ -465,42 +463,6 @@ def test_readout_working_set():
     assert peak <= 3 * p.nbytes, peak / p.nbytes
 
 
-def _with(values, index, bad):
-    out = np.array(values, dtype=float)
-    out[index] = bad
-    return out
-
-
-@pytest.mark.parametrize("build", [
-    lambda: vl.simulate_profile_scan(math.nan, STEERING_EFF, _DRIVE, _FREQS, 150e6),
-    lambda: vl.simulate_profile_scan(1.5e-6, math.inf, _DRIVE, _FREQS, 150e6),
-    lambda: vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE, _FREQS, math.nan),
-    lambda: vl.simulate_profile_scan(1.5e-6, STEERING_EFF, _DRIVE,
-                                     _with(_FREQS, 3, math.nan), 150e6),
-    lambda: vl.simulate_chain_scan(_CHAIN, math.inf, STEERING_EFF, _DRIVE, _FREQS, 150e6),
-    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, math.nan, _DRIVE, _FREQS, 150e6),
-    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, STEERING_EFF, _DRIVE, _FREQS, math.inf),
-    lambda: vl.simulate_chain_scan(_CHAIN, 1.5e-6, STEERING_EFF, _DRIVE,
-                                   _with(_FREQS, -1, math.inf), 150e6),
-    lambda: vl.simulate_crosstalk_experiment(_CHAIN, math.nan, 1, _TIMES, _DRIVE),
-    lambda: vl.simulate_crosstalk_experiment(_CHAIN, 1.5e-6, 1,
-                                             _with(_TIMES, -1, math.inf), _DRIVE),
-    lambda: vl.simulate_crosstalk_experiment(_CHAIN, 1.5e-6, 1,
-                                             _with(_TIMES, 4, math.nan), _DRIVE),
-    lambda: vl.PureDelay(math.nan),
-    lambda: vl.SwitchSequence(math.inf, 1740e-9, vl.PureDelay(238e-9)),
-    lambda: vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(238e-9), settle_time=math.nan),
-    lambda: bloch.excited_population(1e6, 0.0, math.nan),
-    lambda: bloch.excited_population(math.inf, 0.0, 1e-6),
-    lambda: bloch.excited_population(1e6, math.nan, 1e-6),
-    lambda: vl.rabi_probability(_DRIVE, math.nan),
-    lambda: vl.rabi_probability(_DRIVE, _with(_TIMES, 2, math.nan)),
-], ids=["profile_waist", "profile_efficiency", "profile_center", "profile_frequencies",
-        "chain_waist", "chain_efficiency", "chain_center", "chain_frequencies",
-        "crosstalk_waist", "crosstalk_times_inf", "crosstalk_times_nan",
-        "switch_delay", "switch_pi2_time", "switch_settle_time",
-        "bloch_duration", "bloch_omega", "bloch_detuning",
-        "rabi_time_nan", "rabi_times_array"])
+@pytest.mark.parametrize("build", rejection_cases("virtual_lab"))
 def test_lab_non_finite_input_rejected(build):
-    with pytest.raises(ValidationError):
-        build()
+    assert_rejected(build)
