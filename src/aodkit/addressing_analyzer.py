@@ -200,31 +200,3 @@ def misalignment_imbalance(mis_angle, half_range, perpendicular_waist):
     excursion = half_range * math.sin(mis_angle)
     return 1.0 - math.exp(-2.0 * (excursion / perpendicular_waist) ** 2)
 
-
-@dataclass(frozen=True)
-class SteeringLine:
-    """Sampled steering trajectory in the image plane, points (u, v) in m."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValidationError("points must be an (n >= 2, 2) array")
-        if np.allclose(pts, pts[0]):
-            raise ValidationError("steering line is degenerate (all points coincide)")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    def direction(self):
-        """Unit principal direction of the point set (sign-ambiguous)."""
-        centered = self.points - self.points.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        return vt[0]
-
-
-def relative_steering_error(line_a, line_b):
-    """Angle (rad, in [0, pi/2]) between two steering directions."""
-    da, db = line_a.direction(), line_b.direction()
-    return math.acos(min(abs(float(np.dot(da, db))), 1.0))

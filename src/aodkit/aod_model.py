@@ -191,16 +191,6 @@ def ramp_area(spec, duration, model="field_overlap"):
     return float(area) if np.ndim(duration) == 0 else area
 
 
-# erfinv(0.8): the ramp 0.5 (1 + erf(u)) crosses 10 % and 90 % at u = -/+ this.
-ERFINV_0_8 = 0.9061938024368232
-
-
-def rise_time_10_90(spec):
-    """10 % to 90 % amplitude rise time of the field-overlap ramp."""
-    tau = spec.crystal_waist / spec.acoustic_velocity
-    return 2.0 * ERFINV_0_8 * tau
-
-
 @dataclass(frozen=True)
 class MonitorChain:
     """Pick-off photodiode chain: sampler, responsivity, transimpedance."""

@@ -23,7 +23,7 @@ from ..errors import ConfigError, DomainError, ValidationError, as_count
 from ..prism_designer import CONVENTION
 from .commands import HANDLERS, RunContext
 from .config import parse_config
-from .report import write_run_report
+from .report import write_artifacts, write_run_report
 
 OUTPUT_ENV_VAR = "AODKIT_OUT"
 DEFAULT_OUTPUT = "aodkit-out"
@@ -106,16 +106,16 @@ def main(argv=None):
                 seed = as_count("seed", seed, 0)
             except ValidationError as exc:
                 raise ConfigError(str(exc)) from None
-        ctx = RunContext(cfg=cfg, outdir=outdir, seed=seed,
-                         target=getattr(args, "target", None))
+        ctx = RunContext(cfg=cfg, seed=seed, target=getattr(args, "target", None))
 
         start = time.perf_counter()
         results, artifacts = handler(ctx)
+        paths = write_artifacts(outdir, artifacts)
         wall = time.perf_counter() - start
 
         report_path = write_run_report(
             outdir, slug, key, cfg.digest, CONVENTION,
-            ctx.seed, results, artifacts)
+            ctx.seed, results, paths)
 
         print(f"command: {key}")
         print(f"config digest: {cfg.digest[:16]}")
@@ -124,7 +124,7 @@ def main(argv=None):
         elif ctx.seed is not None:
             print(f"seed: {ctx.seed}")
         _print_results(results)
-        for path in artifacts:
+        for path in paths:
             print(f"wrote: {path}")
         print(f"wrote: {report_path}")
         print(f"wall time: {wall:.3f} s")

@@ -1,8 +1,11 @@
 """CLI command handlers.
 
-Every handler takes a :class:`RunContext` and returns
-``(results, artifact_paths)``; the shared runner wraps them with config
-parsing, seed resolution, report writing and exit-code mapping.
+Every handler takes a :class:`RunContext` and returns ``(results,
+artifacts)``: a dict of summary values and a list of
+:class:`~aodkit.cli.report.Table` and :class:`~aodkit.cli.report.Plot`
+declarations.  Handlers open no file; the shared runner writes the
+artifacts, then wraps it all with config parsing, seed resolution,
+report writing and exit-code mapping.
 """
 
 import math
@@ -14,8 +17,7 @@ import numpy as np
 from .. import addressing_analyzer as addressing
 from .. import aod_model, beam_optics, prism_designer, virtual_lab
 from ..errors import ConfigError
-from . import report as report_io
-from . import svgplot
+from .report import Plot, Table
 
 UM = 1e-6
 MHZ = 1e6
@@ -25,7 +27,6 @@ NS = 1e-9
 @dataclass
 class RunContext:
     cfg: object
-    outdir: str
     seed: int = None
     target: float = None
     generated_seed: bool = field(default=False, init=False)
@@ -95,17 +96,6 @@ def cmd_design_prism(ctx):
         design.refractive_index)
     curve = contour.values[0]
 
-    csv = report_io.write_csv(
-        ctx.outdir, "design_prism.csv",
-        ["alpha_prime_deg", "expansion"],
-        [(a, m) for a, m in zip(grid, curve)])
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "design_prism.svg"),
-        grid,
-        {"expansion": curve, "target": np.full(grid.shape, target)},
-        xlabel="alpha_prime (deg)", ylabel="expansion factor M",
-        title="Prism-pair expansion against second mounting angle")
-
     results = {
         "convention": prism_designer.CONVENTION,
         "target_expansion": float(target),
@@ -117,7 +107,13 @@ def cmd_design_prism(ctx):
         "sensitivity_percent_per_deg": sens,
         "tolerance_weighted_percent": weighted,
     }
-    return results, [csv, svg]
+    return results, [
+        Table("design_prism.csv", ["alpha_prime_deg", "expansion"], zip(grid, curve)),
+        Plot("design_prism.svg", grid,
+             {"expansion": curve, "target": np.full(grid.shape, target)},
+             xlabel="alpha_prime (deg)", ylabel="expansion factor M",
+             title="Prism-pair expansion against second mounting angle"),
+    ]
 
 
 def cmd_tolerance(ctx):
@@ -130,16 +126,6 @@ def cmd_tolerance(ctx):
 
     counts, edges = np.histogram(rep.values, bins=60)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    csv = report_io.write_csv(
-        ctx.outdir, "tolerance.csv",
-        ["expansion_bin_center", "count"],
-        list(zip(centers, counts)))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "tolerance.svg"),
-        centers, {"samples": counts},
-        xlabel="expansion factor M", ylabel="samples per bin",
-        title="Monte-Carlo expansion spread under mounting tolerances")
-
     results = {
         "convention": prism_designer.CONVENTION,
         "design_expansion": rep.design_expansion,
@@ -156,7 +142,12 @@ def cmd_tolerance(ctx):
             k: 100.0 * v for k, v in rep.per_angle_relative_errors.items()},
         "tolerances_deg": rep.tolerances,
     }
-    return results, [csv, svg]
+    return results, [
+        Table("tolerance.csv", ["expansion_bin_center", "count"], zip(centers, counts)),
+        Plot("tolerance.svg", centers, {"samples": counts},
+             xlabel="expansion factor M", ylabel="samples per bin",
+             title="Monte-Carlo expansion spread under mounting tolerances"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +177,6 @@ def cmd_trace(ctx):
 
     rows = [row(-1, "input", cfg.input_beam)]
     rows += [row(s.index, _element_label(s.element), s.beam) for s in steps]
-    csv = report_io.write_csv(ctx.outdir, "trace.csv", header, rows)
-
-    idx = [r[0] for r in rows]
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "trace.svg"),
-        idx,
-        {"spot x": [r[2] for r in rows], "spot z": [r[3] for r in rows]},
-        xlabel="element index (-1 = input)", ylabel="spot radius (um)",
-        title="Beam spot size through the train", ylog=True)
-
     final = steps[-1].beam
     results = {
         "elements": len(cfg.train),
@@ -207,7 +188,13 @@ def cmd_trace(ctx):
         "final_spot_z_um": beam_optics.spot_size_at(final, "z") / UM,
         "power_fraction": final.power_fraction,
     }
-    return results, [csv, svg]
+    return results, [
+        Table("trace.csv", header, rows),
+        Plot("trace.svg", [r[0] for r in rows],
+             {"spot x": [r[2] for r in rows], "spot z": [r[3] for r in rows]},
+             xlabel="element index (-1 = input)", ylabel="spot radius (um)",
+             title="Beam spot size through the train", ylog=True),
+    ]
 
 
 def _fourier_subtrain(train):
@@ -240,17 +227,6 @@ def cmd_steer(ctx):
                if fourier_train is not None else np.full(freqs.shape, np.nan))
     angles = aod_model.deflection_angle(spec, freqs)
 
-    csv = report_io.write_csv(
-        ctx.outdir, "steer.csv",
-        ["f_mhz", "deflection_mrad", "fourier_um", "ion_um"],
-        zip(freqs / MHZ, angles * 1e3, fourier / UM, ion / UM))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "steer.svg"),
-        freqs / MHZ,
-        {"ion plane": ion / UM, "Fourier plane": fourier / UM},
-        xlabel="drive frequency (MHz)", ylabel="displacement (um)",
-        title="Steering map across the rated band")
-
     eff = _steering_efficiency(cfg, None)
     results = {
         "full_band_deflection_mrad": aod_model.full_band_swing(spec) * 1e3,
@@ -260,7 +236,14 @@ def cmd_steer(ctx):
         "steering_efficiency_um_per_mhz": eff / (UM / MHZ),
         "band_mhz": [lo / MHZ, hi / MHZ],
     }
-    return results, [csv, svg]
+    return results, [
+        Table("steer.csv", ["f_mhz", "deflection_mrad", "fourier_um", "ion_um"],
+              zip(freqs / MHZ, angles * 1e3, fourier / UM, ion / UM)),
+        Plot("steer.svg", freqs / MHZ,
+             {"ion plane": ion / UM, "Fourier plane": fourier / UM},
+             xlabel="drive frequency (MHz)", ylabel="displacement (um)",
+             title="Steering map across the rated band"),
+    ]
 
 
 def cmd_efficiency(ctx):
@@ -271,15 +254,6 @@ def cmd_efficiency(ctx):
     freqs = np.linspace(lo, hi, 121)
     eta = aod_model.diffraction_efficiency(spec, freqs)
 
-    csv = report_io.write_csv(
-        ctx.outdir, "efficiency.csv", ["f_mhz", "efficiency"],
-        zip(freqs / MHZ, eta))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "efficiency.svg"),
-        freqs / MHZ, {"efficiency": eta},
-        xlabel="drive frequency (MHz)", ylabel="diffraction efficiency",
-        title="Diffraction efficiency across the rated band")
-
     results = {
         "peak_efficiency": spec.peak_efficiency,
         "efficiency_width_mhz": spec.efficiency_width / MHZ,
@@ -288,7 +262,12 @@ def cmd_efficiency(ctx):
         "min_over_band": float(eta.min()),
         "band_mhz": [lo / MHZ, hi / MHZ],
     }
-    return results, [csv, svg]
+    return results, [
+        Table("efficiency.csv", ["f_mhz", "efficiency"], zip(freqs / MHZ, eta)),
+        Plot("efficiency.svg", freqs / MHZ, {"efficiency": eta},
+             xlabel="drive frequency (MHz)", ylabel="diffraction efficiency",
+             title="Diffraction efficiency across the rated band"),
+    ]
 
 
 def cmd_monitor(ctx):
@@ -303,15 +282,6 @@ def cmd_monitor(ctx):
     gain = aod_model.monitor_voltage(chain, power, 1.0)
     linearity = float(np.max(np.abs(volts / gain - eta)))
 
-    csv = report_io.write_csv(
-        ctx.outdir, "monitor.csv", ["f_mhz", "efficiency", "voltage_v"],
-        zip(freqs / MHZ, eta, volts))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "monitor.svg"),
-        freqs / MHZ, {"voltage (V)": volts},
-        xlabel="drive frequency (MHz)", ylabel="monitor voltage (V)",
-        title="Pick-off monitor voltage across the band")
-
     results = {
         "beam_power_w": power,
         "peak_voltage_v": float(volts.max()),
@@ -319,7 +289,13 @@ def cmd_monitor(ctx):
             chain, power, aod_model.diffraction_efficiency(spec, spec.center_frequency))),
         "max_linearity_deviation": linearity,
     }
-    return results, [csv, svg]
+    return results, [
+        Table("monitor.csv", ["f_mhz", "efficiency", "voltage_v"],
+              zip(freqs / MHZ, eta, volts)),
+        Plot("monitor.svg", freqs / MHZ, {"voltage (V)": volts},
+             xlabel="drive frequency (MHz)", ylabel="monitor voltage (V)",
+             title="Pick-off monitor voltage across the band"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +310,8 @@ def cmd_crosstalk(ctx):
     ideal = addressing.crosstalk_matrix(cfg.chain, addr.ion_waist, mode=addr.coupling)
 
     n = len(cfg.chain)
-    if n >= 2:
-        nn = addressing.relative_rate(
-            addr.ion_waist, cfg.chain.positions[1] - cfg.chain.positions[0],
-            mode=addr.coupling)
-    else:
-        nn = 0.0
+    nn = addressing.relative_rate(addr.ion_waist, np.diff(cfg.chain.array).min(),
+                                  mode=addr.coupling) if n >= 2 else 0.0
 
     sweep = []
     for ratio in addr.clipping_ratios:
@@ -349,23 +321,6 @@ def cmd_crosstalk(ctx):
             wavelength=cfg.wavelength, mode=addr.coupling)
         sweep.append((ratio, clipped.worst_offdiagonal()))
 
-    csv_matrix = report_io.write_csv(
-        ctx.outdir, "crosstalk_matrix.csv",
-        ["ion", "beam_center", "relative_rate"],
-        [(i, j, ideal.values[i, j]) for i in range(n) for j in range(n)])
-    csv_sweep = report_io.write_csv(
-        ctx.outdir, "crosstalk_clipping.csv",
-        ["clipping_ratio", "worst_offdiagonal", "ideal_worst_offdiagonal"],
-        [(r, w, ideal.worst_offdiagonal()) for r, w in sweep])
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "crosstalk.svg"),
-        [r for r, _ in sweep],
-        {"clipped": [w for _, w in sweep],
-         "ideal": [ideal.worst_offdiagonal()] * len(sweep)},
-        xlabel="aperture half-width / collimated waist",
-        ylabel="worst neighbour relative rate",
-        title="Crosstalk against clipping ratio", ylog=True)
-
     results = {
         "coupling": addr.coupling,
         "ion_waist_um": addr.ion_waist / UM,
@@ -373,7 +328,19 @@ def cmd_crosstalk(ctx):
         "nearest_neighbor_rate": float(nn),
         "clipping_sweep": {f"{r:g}": w for r, w in sweep},
     }
-    return results, [csv_matrix, csv_sweep, svg]
+    return results, [
+        Table("crosstalk_matrix.csv", ["ion", "beam_center", "relative_rate"],
+              [(i, j, ideal.values[i, j]) for i in range(n) for j in range(n)]),
+        Table("crosstalk_clipping.csv",
+              ["clipping_ratio", "worst_offdiagonal", "ideal_worst_offdiagonal"],
+              [(r, w, ideal.worst_offdiagonal()) for r, w in sweep]),
+        Plot("crosstalk.svg", [r for r, _ in sweep],
+             {"clipped": [w for _, w in sweep],
+              "ideal": [ideal.worst_offdiagonal()] * len(sweep)},
+             xlabel="aperture half-width / collimated waist",
+             ylabel="worst neighbour relative rate",
+             title="Crosstalk against clipping ratio", ylog=True),
+    ]
 
 
 def cmd_misalign(ctx):
@@ -389,16 +356,6 @@ def cmd_misalign(ctx):
         math.radians(a), addr.steering_half_range, addr.perpendicular_waist)
         for a in angles_deg]
 
-    csv = report_io.write_csv(
-        ctx.outdir, "misalign.csv", ["angle_deg", "imbalance"],
-        zip(angles_deg, sweep))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "misalign.svg"),
-        angles_deg, {"imbalance": sweep},
-        xlabel="steering-axis misalignment (deg)",
-        ylabel="worst-case rate imbalance",
-        title="Rate imbalance against axis misalignment")
-
     results = {
         "misalignment_deg": math.degrees(addr.misalignment_angle),
         "steering_half_range_um": addr.steering_half_range / UM,
@@ -406,7 +363,13 @@ def cmd_misalign(ctx):
         "imbalance": at_config,
         "within_10_percent": bool(at_config <= 0.10),
     }
-    return results, [csv, svg]
+    return results, [
+        Table("misalign.csv", ["angle_deg", "imbalance"], zip(angles_deg, sweep)),
+        Plot("misalign.svg", angles_deg, {"imbalance": sweep},
+             xlabel="steering-axis misalignment (deg)",
+             ylabel="worst-case rate imbalance",
+             title="Rate imbalance against axis misalignment"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +398,6 @@ def cmd_lab_profile_scan(ctx):
         fit.waist, eff, virtual_lab.RabiDrive(fit.peak_rabi, setup.drive_time), freqs,
         fit.center_frequency, mode=mode).values
 
-    csv = report_io.write_csv(
-        ctx.outdir, "lab_profile_scan.csv", ["f_mhz", "p1", "p1_fit"],
-        zip(freqs / MHZ, trace.values, fit_curve))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "lab_profile_scan.svg"),
-        freqs / MHZ, {"measured": trace.values, "fit": fit_curve},
-        xlabel="drive frequency (MHz)", ylabel="P1",
-        title="Beam-profile scan over a single ion")
-
     results = {
         "mode": mode,
         "shots": setup.shots,
@@ -456,7 +410,14 @@ def cmd_lab_profile_scan(ctx):
         "fitted_pi_time_ns": math.pi / fit.peak_rabi / NS,
         "residual_rms": fit.residual_rms,
     }
-    return results, [csv, svg]
+    return results, [
+        Table("lab_profile_scan.csv", ["f_mhz", "p1", "p1_fit"],
+              zip(freqs / MHZ, trace.values, fit_curve)),
+        Plot("lab_profile_scan.svg", freqs / MHZ,
+             {"measured": trace.values, "fit": fit_curve},
+             xlabel="drive frequency (MHz)", ylabel="P1",
+             title="Beam-profile scan over a single ion"),
+    ]
 
 
 def cmd_lab_chain_scan(ctx):
@@ -471,15 +432,6 @@ def cmd_lab_chain_scan(ctx):
         shots=setup.shots, seed=ctx.seed_for(setup.shots), mode=cfg.addressing.coupling)
     peaks = virtual_lab.count_resolved_peaks(scan.envelope)
 
-    csv = report_io.write_csv(
-        ctx.outdir, "lab_chain_scan.csv", ["f_mhz", "p1_envelope"],
-        zip(freqs / MHZ, scan.envelope.values))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "lab_chain_scan.svg"),
-        freqs / MHZ, {"envelope": scan.envelope.values},
-        xlabel="drive frequency (MHz)", ylabel="max P1 over ions",
-        title="Chain scan envelope")
-
     per_ion_peaks = scan.per_ion.max(axis=1)
     results = {
         "ion_count": len(cfg.chain),
@@ -489,7 +441,13 @@ def cmd_lab_chain_scan(ctx):
         "shots": setup.shots,
         "steering_efficiency_um_per_mhz": eff / (UM / MHZ),
     }
-    return results, [csv, svg]
+    return results, [
+        Table("lab_chain_scan.csv", ["f_mhz", "p1_envelope"],
+              zip(freqs / MHZ, scan.envelope.values)),
+        Plot("lab_chain_scan.svg", freqs / MHZ, {"envelope": scan.envelope.values},
+             xlabel="drive frequency (MHz)", ylabel="max P1 over ions",
+             title="Chain scan envelope"),
+    ]
 
 
 def cmd_lab_crosstalk(ctx):
@@ -520,29 +478,12 @@ def cmd_lab_crosstalk(ctx):
             rows.append((k, "long", t / NS, p))
     for t, p in zip(exp.target_trace.x, exp.target_trace.values):
         rows.append((setup.target_ion, "target", t / NS, p))
-    csv_traces = report_io.write_csv(
-        ctx.outdir, "lab_crosstalk_traces.csv",
-        ["ion", "grid", "time_ns", "p1"], rows)
 
     deviations = [abs(exp.ratios[i] - ideal[i]) / ideal[i]
                   for i in range(len(cfg.chain))
                   if not exp.bounded[i] and i != setup.target_ion and ideal[i] > 0]
-    csv_ratios = report_io.write_csv(
-        ctx.outdir, "lab_crosstalk_ratios.csv",
-        ["ion", "position_um", "ratio", "ratio_sigma", "upper_bound", "ideal_ratio"],
-        # a noiseless fit's sigma is rounding, so its cell stays empty
-        [(i, positions[i] / UM, exp.ratios[i],
-          "" if setup.shots is None else exp.ratio_sigmas[i],
-          exp.bounded[i], ideal[i]) for i in range(len(cfg.chain))])
-
     show = [i for i in range(len(cfg.chain))
             if abs(i - setup.target_ion) <= 2][:5]
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "lab_crosstalk.svg"),
-        times / NS,
-        {f"ion {i}": exp.neighbor_traces[i].values for i in show},
-        xlabel="drive time (ns)", ylabel="P1",
-        title="Neighbour Rabi flopping while addressing the target")
 
     results = {
         "target_ion": setup.target_ion,
@@ -554,7 +495,19 @@ def cmd_lab_crosstalk(ctx):
         "upper_bound_flags": {str(i): bool(exp.bounded[i]) for i in range(len(cfg.chain))},
         "max_fitted_ratio_deviation": max(deviations) if deviations else None,
     }
-    return results, [csv_traces, csv_ratios, svg]
+    return results, [
+        Table("lab_crosstalk_traces.csv", ["ion", "grid", "time_ns", "p1"], rows),
+        Table("lab_crosstalk_ratios.csv",
+              ["ion", "position_um", "ratio", "ratio_sigma", "upper_bound", "ideal_ratio"],
+              # a noiseless fit's sigma is rounding, so its cell stays empty
+              [(i, positions[i] / UM, exp.ratios[i],
+                "" if setup.shots is None else exp.ratio_sigmas[i],
+                exp.bounded[i], ideal[i]) for i in range(len(cfg.chain))]),
+        Plot("lab_crosstalk.svg", times / NS,
+             {f"ion {i}": exp.neighbor_traces[i].values for i in show},
+             xlabel="drive time (ns)", ylabel="P1",
+             title="Neighbour Rabi flopping while addressing the target"),
+    ]
 
 
 def cmd_lab_switching(ctx):
@@ -581,18 +534,6 @@ def cmd_lab_switching(ctx):
                                                     seed=ctx.seed_for(setup.shots))
     fit = virtual_lab.fit_switch_time(res.delta)
 
-    csv = report_io.write_csv(
-        ctx.outdir, "lab_switching.csv",
-        ["extra_ns", "p1_ion0", "p1_ion1", "abs_difference"],
-        zip(extra / NS, res.ion0.values, res.ion1.values, res.delta.values))
-    svg = svgplot.line_plot(
-        os.path.join(ctx.outdir, "lab_switching.svg"),
-        extra / NS,
-        {"ion 0": res.ion0.values, "ion 1": res.ion1.values,
-         "|difference|": res.delta.values},
-        xlabel="extra drive time (ns)", ylabel="P1",
-        title="Switching-time sweep")
-
     results = {
         "model": setup.model,
         "shots": setup.shots,
@@ -605,7 +546,15 @@ def cmd_lab_switching(ctx):
     else:
         results["theoretical_switch_time_ns"] = (
             aod_model.theoretical_switch_time(cfg.aod) / NS)
-    return results, [csv, svg]
+    return results, [
+        Table("lab_switching.csv", ["extra_ns", "p1_ion0", "p1_ion1", "abs_difference"],
+              zip(extra / NS, res.ion0.values, res.ion1.values, res.delta.values)),
+        Plot("lab_switching.svg", extra / NS,
+             {"ion 0": res.ion0.values, "ion 1": res.ion1.values,
+              "|difference|": res.delta.values},
+             xlabel="extra drive time (ns)", ylabel="P1",
+             title="Switching-time sweep"),
+    ]
 
 
 HANDLERS = {

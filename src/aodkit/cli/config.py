@@ -27,8 +27,6 @@ MM = 1e-3
 MHZ = 1e6
 NS = 1e-9
 
-_MISSING = object()
-
 
 class _Section:
     """One mapping level of the config with violation accumulation."""
@@ -362,12 +360,12 @@ def _build_chain(sec):
             f"{sec.path}: give either positions_um or count and spacing_um, not both")
         return None
     if positions is not None:
-        bad = [p for p in positions if isinstance(p, bool) or not isinstance(p, (int, float))]
-        if bad:
-            sec.violations.append(f"{sec.path}.positions_um: entries must be numbers")
+        checked = [sec.value(f"{sec.path}.positions_um[{i}]", p)
+                   for i, p in enumerate(positions)]
+        if None in checked:
             return None
         try:
-            return IonChain(tuple(float(p) * UM for p in positions))
+            return IonChain(tuple(float(p) * UM for p in checked))
         except ValidationError as exc:
             sec.violations.append(f"{sec.path}.positions_um: {exc}")
             return None

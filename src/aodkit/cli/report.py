@@ -1,15 +1,41 @@
-"""Deterministic artifact writers: CSV tables and the JSON run report.
+"""Deterministic artifact writers: CSV tables, SVG plots and the JSON run report.
 
-Artifact bytes must be identical across runs with the same configuration
-and seed, so floats are formatted with a fixed rule, JSON keys are
-sorted, and wall time is kept out of the files (it goes to stdout).
+Command handlers declare their artifacts as :class:`Table` and
+:class:`Plot` values; :func:`write_artifacts` is the one place that puts
+them on disk.  Artifact bytes must be identical across runs with the
+same configuration and seed, so floats are formatted with a fixed rule,
+JSON keys are sorted, and wall time is kept out of the files (it goes to
+stdout).
 """
 
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import svgplot
+
+
+@dataclass(frozen=True)
+class Table:
+    """A CSV file: ``rows`` is an iterable of rows of mixed scalars, read once."""
+    name: str
+    header: list
+    rows: object
+
+
+@dataclass(frozen=True)
+class Plot:
+    """An SVG line plot: ``series`` maps label -> y values over ``x``."""
+    name: str
+    x: object
+    series: dict
+    xlabel: str = ""
+    ylabel: str = ""
+    title: str = ""
+    ylog: bool = False
 
 
 def format_value(v):
@@ -31,6 +57,19 @@ def write_csv(outdir, name, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def write_artifacts(outdir, artifacts):
+    """Write each declared artifact into ``outdir`` in order; returns the paths."""
+    paths = []
+    for art in artifacts:
+        if isinstance(art, Table):
+            paths.append(write_csv(outdir, art.name, art.header, art.rows))
+        else:
+            paths.append(svgplot.line_plot(
+                os.path.join(outdir, art.name), art.x, art.series, xlabel=art.xlabel,
+                ylabel=art.ylabel, title=art.title, ylog=art.ylog))
+    return paths
 
 
 def jsonable(obj):

@@ -178,33 +178,3 @@ def test_misalignment_imbalance_monotone_in_angle():
     vals = [aa.misalignment_imbalance(a, 75e-6, 8.5e-6) for a in angles]
     assert (np.diff(vals) > 0).all()
     assert all(0.0 <= v < 1.0 for v in vals)
-
-
-def test_relative_steering_error_angles():
-    t = np.linspace(-1.0, 1.0, 7)
-    along_x = aa.SteeringLine(np.column_stack([t, np.zeros_like(t)]))
-    assert aa.relative_steering_error(along_x, along_x) == 0.0
-
-    tilted = aa.SteeringLine(np.column_stack([t * math.cos(math.radians(0.7)),
-                                              t * math.sin(math.radians(0.7))]))
-    assert aa.relative_steering_error(along_x, tilted) == pytest.approx(
-        math.radians(0.7), rel=1e-9)
-
-    vertical = aa.SteeringLine(np.column_stack([np.zeros_like(t), t]))
-    assert aa.relative_steering_error(along_x, vertical) == pytest.approx(
-        math.pi / 2, rel=1e-12)
-
-
-def test_steering_line_direction_ignores_offset_and_noise():
-    rng = np.random.default_rng(8)
-    t = np.linspace(0.0, 120e-6, 50)
-    pts = np.column_stack([t, 0.3 * t]) + np.array([5e-6, -2e-6])
-    pts += rng.normal(scale=1e-9, size=pts.shape)
-    line = aa.SteeringLine(pts)
-    ref = aa.SteeringLine(np.column_stack([t, 0.3 * t]))
-    assert aa.relative_steering_error(line, ref) < 1e-4
-
-
-def test_steering_line_rejects_degenerate_points():
-    with pytest.raises(ValidationError):
-        aa.SteeringLine(np.zeros((5, 2)))

@@ -105,10 +105,10 @@ def test_ramp_area_monotone_in_duration():
 
 
 def test_rise_time_frozen():
-    assert am.rise_time_10_90(SPEC) == pytest.approx(RISE_TIME, rel=1e-9)
-    # definition check: the ramp spans 10% to 90% over exactly that window
+    # the ramp 0.5 (1 + erf(u)) crosses 10 % and 90 % at u = -/+ erfinv(0.8)
+    half = float(erfinv(0.8)) * SPEC.crystal_waist / SPEC.acoustic_velocity
+    assert 2.0 * half == pytest.approx(RISE_TIME, rel=1e-9)
     ts = am.theoretical_switch_time(SPEC)
-    half = 0.5 * am.rise_time_10_90(SPEC)
     assert am.transit_ramp(SPEC, ts - half) == pytest.approx(0.1, rel=1e-9)
     assert am.transit_ramp(SPEC, ts + half) == pytest.approx(0.9, rel=1e-9)
 
@@ -199,10 +199,6 @@ def test_erf_matches_scipy_special():
     want = erf(u)
     assert np.all(np.abs(am._erf(u) - want) <= 2.0 * np.spacing(np.abs(want)))
     assert am._erf(0.5) == pytest.approx(erf(0.5), rel=1e-15)
-
-
-def test_erfinv_constant_matches_scipy():
-    assert am.ERFINV_0_8 == float(erfinv(0.8))
 
 
 def test_spec_validation():

@@ -11,13 +11,16 @@ injection (which rebuilds ``ProfileFit`` and ``CrosstalkMatrix``
 positionally).
 """
 
+import json
 import os
 import sys
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+from aodkit.cli import main, report, svgplot
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +99,25 @@ def test_injected_fault_trips_a_check(bench, harness, workload, message):
         virtual_lab.fit_gaussian_profile, addressing_analyzer.crosstalk_matrix = saved
     # the check trips on the wrong value, not on a raise of the rebuild
     assert any(message in f[1] for f in _unexpected(failures)), failures
+
+
+def test_every_manifest_artifact_goes_through_the_traced_writers(tmp_path, monkeypatch):
+    """perfbench times artifact writes by wrapping ``report.write_csv`` and
+    ``svgplot.line_plot``; a write that bypasses them leaves
+    ``cli.report.write_s`` short."""
+    calls = []
+
+    def counting(kind, original):
+        def wrapper(*args, **kwargs):
+            calls.append(kind)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(report, "write_csv", counting("csv", report.write_csv))
+    monkeypatch.setattr(svgplot, "line_plot", counting("svg", svgplot.line_plot))
+    config = os.path.join(ROOT, "configs", "paper_system.yaml")
+    assert main(["crosstalk", "--config", config, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "crosstalk_report.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)["artifacts"]
+    assert (calls.count("csv"), calls.count("svg")) == (2, 1)
+    assert len(calls) == len(manifest)

@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from aodkit import addressing_analyzer
 from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main
-from aodkit.cli.commands import HANDLERS
+from aodkit.cli.commands import HANDLERS, RunContext
+from aodkit.cli.config import parse_config
+from aodkit.cli.report import Plot, Table
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "paper_system.yaml")
@@ -169,6 +172,34 @@ def test_chain_with_positions_and_count_is_a_config_error(tmp_path, capsys):
     assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "give either positions_um or count and spacing_um, not both" in \
         capsys.readouterr().err
+
+
+def test_bad_chain_positions_are_reported_per_entry(tmp_path, capsys):
+    cfg = _edited_config(tmp_path, "chain", count=None, spacing_um=None,
+                         positions_um=[0.0, "3.8", 7.6, float("nan")])
+    assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.chain.positions_um[1]: expected int/float, got str" in err
+    assert "config.chain.positions_um[3]: must be finite" in err
+
+
+def test_nearest_neighbor_rate_uses_the_closest_pair(tmp_path):
+    cfg = _edited_config(tmp_path, "chain", count=None, spacing_um=None,
+                         positions_um=[0.0, 10.0, 13.8])
+    assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 0
+    res = _read_report(tmp_path, "crosstalk")["results"]
+    assert res["nearest_neighbor_rate"] == pytest.approx(
+        addressing_analyzer.relative_rate(1.5e-6, 3.8e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize("key", sorted(HANDLERS))
+def test_handler_declares_artifacts_and_opens_no_file(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    _results, artifacts = HANDLERS[key][1](RunContext(parse_config(CONFIG), seed=5))
+    assert list(tmp_path.iterdir()) == []
+    assert artifacts and all(isinstance(a, (Table, Plot)) for a in artifacts)
+    names = [a.name for a in artifacts]
+    assert len(set(names)) == len(names), names
 
 
 def test_rerun_is_byte_identical(tmp_path):
