@@ -444,6 +444,9 @@ def gaussian_profile(wavelength, waist_radius, count, half_extent, waist_positio
     """
     count = as_count("count", count, 2)  # FieldProfile1D requires a power of two
     positive("half_extent", half_extent)
+    positive("wavelength", wavelength)
+    nonzero("waist_radius", waist_radius)  # only its square enters
+    finite("waist_position", waist_position)
     z_r = math.pi * waist_radius**2 / wavelength
     # Phasor convention exp(+i k z): a diverging beam (waist upstream,
     # waist_position < 0) carries phase +k x^2 / (2 R) with R > 0, which is

@@ -74,10 +74,8 @@ def build_parser():
 
 
 def _resolve_outdir(args, cfg):
-    outdir = args.out or os.environ.get(OUTPUT_ENV_VAR) or cfg.output_directory \
+    return args.out or os.environ.get(OUTPUT_ENV_VAR) or cfg.output_directory \
         or DEFAULT_OUTPUT
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
 
 
 def _print_results(results, indent="  "):
@@ -110,6 +108,7 @@ def main(argv=None):
 
         start = time.perf_counter()
         results, artifacts = handler(ctx)
+        os.makedirs(outdir, exist_ok=True)  # only once the handler has succeeded
         paths = write_artifacts(outdir, artifacts)
         wall = time.perf_counter() - start
 

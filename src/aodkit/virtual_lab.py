@@ -12,12 +12,16 @@ All shot noise goes through :func:`_readout`: point ``index`` reads
 evaluation order.  Keys: profile ``(i)``; chain ``(frequency j, ion i)``;
 crosstalk ``(0, ion, k)`` on the target grid and ``(1, ion, k)`` on the
 long grid; switching ``(i, ion)``.  The key reaches the seed sequence as
-one uint32 array holding the words it would make of that tuple (each int
-as its little-endian 32-bit words, so a seed of 2**32 or more takes
-several), which is the same entropy and the same stream.  The seed
-sequence pads short entropy with zeros, so ``(seed, i)`` equals
-``(seed, i, 0)``: profile point i, chain point (i, ion 0) and switching
-ion-0 point i share their noise.
+the uint32 words it would make of that tuple (each int as its
+little-endian 32-bit words, so a seed of 2**32 or more takes several).
+Rather than build a ``SeedSequence`` and a ``PCG64`` per point,
+``_readout`` runs the seed sequence's pool mixing over a block of points
+at once in uint32 array arithmetic, turns each row into the PCG64 state
+that seeding would give, and loads it into one reused generator: the
+same stream, draw for draw.  The seed sequence pads short entropy with
+zeros, so ``(seed, i)`` equals ``(seed, i, 0)``: profile point i, chain
+point (i, ion 0) and switching ion-0 point i share their noise until the
+streams are keyed per experiment.
 """
 
 import math
@@ -115,6 +119,10 @@ class ScanTrace:
         object.__setattr__(self, "values", v)
 
 
+# points seeded together by _readout; bounds the Python states held at once
+_READOUT_BLOCK = 192
+
+
 def _readout(p, shots, seed, *key):
     """Binomial readout of ``p`` keyed as the module docstring says; a
     missing seed counts as 0, and ``shots`` None returns ``p`` itself."""
@@ -122,17 +130,29 @@ def _readout(p, shots, seed, *key):
         return p
     shots = as_count("shots", shots, 1)
     seed = 0 if seed is None else as_count("seed", seed, 0)
-    p = np.clip(p, 0.0, 1.0)
+    p = np.asarray(p, dtype=float)
     out = np.empty(p.shape)
-    # the uint32 words the seed sequence would make of (seed, *key, *index),
-    # with the index slots rewritten per point (the pool is mixed on creation)
+    flat_out = out.reshape(-1)
     head = [word for v in (seed, *key) for word in _uint32_words(v)]
-    entropy = np.array(head + [0] * p.ndim, dtype=np.uint32)
-    slots = entropy[len(head):]
-    for index in np.ndindex(p.shape):
-        slots[:] = index
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-        out[index] = rng.binomial(shots, p[index]) / shots
+    # one reused generator; each point loads the PCG64 state its own seed
+    # sequence would give
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, p.size, _READOUT_BLOCK):
+        flat = np.arange(start, min(start + _READOUT_BLOCK, p.size))
+        # the uint32 words the seed sequence would make of (seed, *key, *index)
+        entropy = np.empty((flat.size, len(head) + p.ndim), dtype=np.uint32)
+        entropy[:, :len(head)] = head
+        if p.ndim:
+            entropy[:, len(head):] = np.column_stack(np.unravel_index(flat, p.shape))
+        draws = []
+        for (pcg["state"], pcg["inc"]), q in zip(_pcg64_states(_seed_state(entropy)),
+                                                 np.clip(p.flat[flat], 0.0, 1.0).tolist()):
+            bitgen.state = state
+            draws.append(rng.binomial(shots, q))
+        flat_out[flat] = np.array(draws) / shots
     return out
 
 
@@ -140,6 +160,73 @@ def _uint32_words(n):
     """Little-endian 32-bit words of ``n >= 0``, one word for 0."""
     n = int(n)
     return [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of four uint32 words)
+# and PCG64 seeding, run over a block of entropy rows at once; the uint32
+# array arithmetic wraps as the C code's does
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init, mult, count):
+    """The (xor, multiply) constants of ``count`` successive seed-sequence
+    hashes, as two uint32 arrays."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    chain = np.array(chain, dtype=np.uint32)
+    return chain[:-1], chain[1:]
+
+
+def _hash(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> 16)
+
+
+def _seed_state(entropy):
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of the
+    uint32 array ``entropy``, as a (rows, 4) uint64 array."""
+    rows, width = entropy.shape
+    extra = max(width - _POOL_SIZE, 0)
+    xor, mult = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((rows, _POOL_SIZE), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    # each pool word is hashed into the three others, then each extra
+    # entropy word into all four; one hash constant per (source, target)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        hashed = _hash(pool[:, src, None], xor[k:k + len(dst)], mult[k:k + len(dst)])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        k += len(dst)
+    for word in entropy[:, _POOL_SIZE:].T:
+        hashed = _hash(word[:, None], xor[k:k + _POOL_SIZE], mult[k:k + _POOL_SIZE])
+        pool = _mix(pool, hashed)
+        k += _POOL_SIZE
+    # eight output words cycle through the pool; pairs are little-endian uint64
+    xor, mult = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    words = _hash(np.tile(pool, 2), xor, mult).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << 32
+
+
+def _pcg64_states(words):
+    """PCG64's ``(state, inc)`` after seeding with each row ``s0..s3`` of the
+    uint64 ``words`` (pcg_setseq_128_srandom_r: two LCG steps mod 2**128)."""
+    rows = words.tolist()
+    incs = [((s2 << 64 | s3) << 1 | 1) & _MASK128 for _, _, s2, s3 in rows]
+    return [((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc)
+            for (s0, s1, _, _), inc in zip(rows, incs)]
 
 
 def _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency):

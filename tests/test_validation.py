@@ -92,6 +92,13 @@ REJECTED = {
         "aod_velocity": lambda: bo.AodDeflector(150e6, math.inf),
         "aod_drive": lambda: bo.AodDeflector(150e6, 5700.0, drive_frequency=math.nan),
         "spot_distance": lambda: bo.spot_size_at(_beam(), "x", math.nan),
+        "profile_waist_nan": lambda: bo.gaussian_profile(355e-9, math.nan, 64, 1e-3),
+        "profile_waist_inf": lambda: bo.gaussian_profile(355e-9, math.inf, 64, 1e-3),
+        "profile_waist_zero": lambda: bo.gaussian_profile(355e-9, 0.0, 64, 1e-3),
+        "profile_wavelength_zero": lambda: bo.gaussian_profile(0.0, 1e-4, 64, 1e-3),
+        "profile_wavelength_nan": lambda: bo.gaussian_profile(math.nan, 1e-4, 64, 1e-3),
+        "profile_waist_position":
+            lambda: bo.gaussian_profile(355e-9, 1e-4, 64, 1e-3, waist_position=math.inf),
     },
     "prism_designer": {
         "target_nan": lambda: pz.solve_alpha_prime(math.nan, 39.0, 30.0, 30.0, 1.476),

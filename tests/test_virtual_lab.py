@@ -449,9 +449,10 @@ def test_readout_accepts_numpy_integers():
 
 
 def test_readout_working_set():
-    # one reused key buffer: the peak is the clipped copy plus the output
-    # (2.2 x p.nbytes); a per-point key matrix would reach about 4.6 x and
-    # Python key lists about 9.6 x
+    # points go through in blocks of _READOUT_BLOCK: the peak is the output
+    # plus one block's entropy rows, seed words, Python PCG64 states and
+    # draws (2.3 x p.nbytes); the states of the whole trace in one Python
+    # list would reach about 57 x
     p = np.random.default_rng(5).random((401, 20))
     vl._readout(p[:2], 200, 3)  # warm-up outside the trace
     tracemalloc.start()
@@ -461,6 +462,44 @@ def test_readout_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * p.nbytes, peak / p.nbytes
+
+
+_BLOCK = vl._READOUT_BLOCK
+_READOUT_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64 + 5,
+                  np.int64(7), None]
+
+
+@pytest.mark.parametrize("seed", _READOUT_SEEDS, ids=str)
+def test_readout_matches_tuple_keyed_draws(seed):
+    # the block-vectorised seeding draws exactly what one
+    # Generator(PCG64(SeedSequence((seed, *key, *index)))) per point draws,
+    # on 0-d to 3-D layouts across block edges, crosstalk keys and entropy
+    # longer than the four-word pool (a three-word seed with a 3-D index)
+    layouts = [((), ()), ((_BLOCK - 1,), ()), ((_BLOCK,), (0, 2)),
+               ((_BLOCK + 1,), (1, 0)), ((_BLOCK + 1, 2), ()), ((2, 3, 33), ())]
+    rng = np.random.default_rng(17)
+    for shape, key in layouts:
+        p = rng.uniform(-0.2, 1.2, shape)
+        for shots in (1, 200, 1000):
+            expected = np.empty(shape)
+            for index in np.ndindex(shape):
+                expected[index] = _draw(p[index], shots, 0 if seed is None else seed,
+                                        *key, *index)
+            got = vl._readout(p, shots, seed, *key)
+            assert got.shape == shape
+            assert got.tobytes() == expected.tobytes(), (shape, key, shots)
+
+
+@pytest.mark.parametrize("words", [[0], [7, 3], [1, 2, 3, 4], [0xFFFFFFFF] * 5,
+                                   [5, 1, 2**31, 0, 9, 0, 4, 6]], ids=len)
+def test_vectorised_seeding_matches_numpy(words):
+    # guards the copied SeedSequence and PCG64 seeding constants: a change in
+    # numpy's seeding fails here by name rather than as a drifted draw
+    seq = np.random.SeedSequence(words)
+    seed_words = vl._seed_state(np.array([words], dtype=np.uint32))
+    assert np.array_equal(seed_words[0], seq.generate_state(4, np.uint64))
+    (state, inc), = vl._pcg64_states(seed_words)
+    assert np.random.PCG64(seq).state["state"] == {"state": state, "inc": inc}
 
 
 @pytest.mark.parametrize("build", rejection_cases("virtual_lab"))
