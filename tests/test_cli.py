@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -9,11 +10,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from aodkit import addressing_analyzer
+from aodkit import addressing_analyzer, beam_optics
 from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main
 from aodkit.cli.commands import HANDLERS, RunContext
 from aodkit.cli.config import parse_config
 from aodkit.cli.report import Plot, Table
+from aodkit.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "paper_system.yaml")
@@ -141,13 +143,79 @@ def test_missing_experiment_section_lists_requirement(tmp_path, capsys):
     assert not out.exists()  # a failed command leaves no empty output directory
 
 
-def _edited_config(tmp_path, section, **values):
+def _reference_data():
     with open(CONFIG, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    data[section].update(values)
+        return yaml.safe_load(fh)
+
+
+def _write_config(tmp_path, data):
     path = tmp_path / "edited.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return str(path)
+
+
+def _edited_config(tmp_path, section, **values):
+    data = _reference_data()
+    data[section].update(values)
+    return _write_config(tmp_path, data)
+
+
+def _train_config(tmp_path, *elements, drop=()):
+    """Reference config with ``elements`` as its train and ``drop`` sections removed."""
+    data = _reference_data()
+    data["train"] = list(elements)
+    for section in drop:
+        del data[section]
+    return _write_config(tmp_path, data)
+
+
+@pytest.mark.parametrize("element, expected", [
+    ({"type": "free_space", "length_um": 2500.0}, beam_optics.FreeSpace(2.5e-3)),
+    ({"type": "thin_lens", "focal_length_um": -5.0e4, "axis": "z"},
+     beam_optics.ThinLens(-0.05, axis="z")),
+    ({"type": "anamorphic_scaler", "mx": 4.7, "mz": 0.5},
+     beam_optics.AnamorphicScaler(mx=4.7, mz=0.5)),
+    ({"type": "imaging_system", "magnification": 0.25}, beam_optics.ImagingSystem(0.25)),
+    ({"type": "aod", "drive_frequency_mhz": 160.0},
+     beam_optics.AodDeflector(center_frequency=150e6, acoustic_velocity=5700.0,
+                              drive_frequency=160e6)),
+    ({"type": "image_rotator", "angle_deg": 33.0},
+     beam_optics.ImageRotator(math.radians(33.0))),
+    ({"type": "beam_sampler", "sample_fraction": 0.002}, beam_optics.BeamSampler(0.002)),
+], ids=lambda v: v["type"] if isinstance(v, dict) else "")
+def test_train_element_types_parse(tmp_path, element, expected):
+    (element_read,) = parse_config(_train_config(tmp_path, element)).train
+    assert type(element_read) is type(expected)
+    for name, value in vars(expected).items():
+        read = getattr(element_read, name)
+        if isinstance(value, float) and name != "angle":
+            assert read == pytest.approx(value, rel=1e-12), name
+        else:
+            assert read == value, name  # the angle is exactly math.radians(angle_deg)
+
+
+def test_train_element_defaults(tmp_path):
+    lens, scaler, aod = parse_config(_train_config(
+        tmp_path, {"type": "thin_lens", "focal_length_um": 1.0e5},
+        {"type": "anamorphic_scaler"}, {"type": "aod"})).train
+    assert lens.axis == "both"
+    assert (scaler.mx, scaler.mz) == (1.0, 1.0)
+    assert aod.drive_frequency == aod.center_frequency == 150e6
+
+
+@pytest.mark.parametrize("elements, drop, expected", [
+    ([{"type": "free_space", "length_um": 10.0, "focal_length_um": 3.0}], (),
+     "config.train[0].focal_length_um: unknown key"),
+    ([{"type": "free_space", "length_um": 10.0}, {"type": "prism"}], (),
+     "config.train[1].type: must be one of"),
+    ([{"type": "free_space", "length_um": 10.0}, {"type": "aod"}], ("aod",),
+     "config.train[1]: an 'aod' element needs the top-level aod section"),
+], ids=["unknown-key", "unknown-type", "aod-without-section"])
+def test_bad_train_element_gives_one_violation(tmp_path, elements, drop, expected):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_train_config(tmp_path, *elements, drop=drop))
+    (violation,) = info.value.violations
+    assert violation.startswith(expected), violation
 
 
 @pytest.mark.parametrize("command, section, key", [
