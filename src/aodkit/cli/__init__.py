@@ -20,7 +20,6 @@ import sys
 import time
 
 from ..errors import ConfigError, DomainError, ValidationError, as_count
-from ..prism_designer import CONVENTION
 from .commands import HANDLERS, RunContext
 from .config import parse_config
 from .report import write_artifacts, write_run_report
@@ -74,8 +73,15 @@ def build_parser():
 
 
 def _resolve_outdir(args, cfg):
-    return args.out or os.environ.get(OUTPUT_ENV_VAR) or cfg.output_directory \
+    """The output directory; a ConfigError if a file stands at it or above it."""
+    outdir = args.out or os.environ.get(OUTPUT_ENV_VAR) or cfg.output_directory \
         or DEFAULT_OUTPUT
+    head = os.path.abspath(outdir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"output directory {outdir}: {head} is not a directory")
+    return outdir
 
 
 def _print_results(results, indent="  "):
@@ -112,9 +118,7 @@ def main(argv=None):
         paths = write_artifacts(outdir, artifacts)
         wall = time.perf_counter() - start
 
-        report_path = write_run_report(
-            outdir, slug, key, cfg.digest, CONVENTION,
-            ctx.seed, results, paths)
+        report_path = write_run_report(outdir, slug, key, cfg.digest, ctx.seed, results, paths)
 
         print(f"command: {key}")
         print(f"config digest: {cfg.digest[:16]}")

@@ -11,17 +11,15 @@ report writing and exit-code mapping.
 import math
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .. import addressing_analyzer as addressing
 from .. import aod_model, beam_optics, prism_designer, virtual_lab
 from ..errors import ConfigError
+from .config import MHZ, NS, UM
 from .report import Plot, Table
-
-UM = 1e-6
-MHZ = 1e6
-NS = 1e-9
 
 
 @dataclass
@@ -43,20 +41,13 @@ class RunContext:
 
 
 def _require(cfg, *sections):
-    missing = [s for s in sections if getattr(cfg, s, None) is None]
+    """Raise one ConfigError naming every section in ``sections`` (dotted
+    paths such as ``experiments.crosstalk``) that the configuration lacks."""
+    missing = [s for s in sections if attrgetter(s)(cfg) is None]
     if missing:
         raise ConfigError(
             "configuration is missing sections required by this command",
             [f"config.{s}: required by this command" for s in missing])
-
-
-def _require_experiment(cfg, name):
-    setup = getattr(cfg.experiments, name, None)
-    if setup is None:
-        raise ConfigError(
-            f"configuration is missing the experiments.{name} section",
-            [f"config.experiments.{name}: required by this command"])
-    return setup
 
 
 def _steering_efficiency(cfg, override):
@@ -387,7 +378,8 @@ def _scan_inputs(cfg, setup):
 
 def cmd_lab_profile_scan(ctx):
     cfg = ctx.cfg
-    setup = _require_experiment(cfg, "profile_scan")
+    _require(cfg, "experiments.profile_scan")
+    setup = cfg.experiments.profile_scan
     eff, drive, freqs = _scan_inputs(cfg, setup)
     mode = cfg.addressing.coupling if cfg.addressing else "intensity"
     trace = virtual_lab.simulate_profile_scan(
@@ -422,8 +414,8 @@ def cmd_lab_profile_scan(ctx):
 
 def cmd_lab_chain_scan(ctx):
     cfg = ctx.cfg
-    _require(cfg, "chain", "addressing")
-    setup = _require_experiment(cfg, "chain_scan")
+    _require(cfg, "chain", "addressing", "experiments.chain_scan")
+    setup = cfg.experiments.chain_scan
     eff, drive, freqs = _scan_inputs(cfg, setup)
     aod_center = cfg.aod.center_frequency if cfg.aod else 0.5 * (
         setup.frequency_start + setup.frequency_stop)
@@ -452,13 +444,8 @@ def cmd_lab_chain_scan(ctx):
 
 def cmd_lab_crosstalk(ctx):
     cfg = ctx.cfg
-    _require(cfg, "chain", "addressing")
-    setup = _require_experiment(cfg, "crosstalk")
-    if setup.target_ion >= len(cfg.chain):
-        raise ConfigError(
-            "crosstalk target outside the chain",
-            [f"config.experiments.crosstalk.target_ion: {setup.target_ion} "
-             f"but the chain holds {len(cfg.chain)} ions"])
+    _require(cfg, "chain", "addressing", "experiments.crosstalk")
+    setup = cfg.experiments.crosstalk
 
     drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.pi_time)
     times = np.linspace(0.0, setup.max_time, setup.points)
@@ -512,12 +499,8 @@ def cmd_lab_crosstalk(ctx):
 
 def cmd_lab_switching(ctx):
     cfg = ctx.cfg
-    setup = _require_experiment(cfg, "switching")
-    if setup.extra_stop <= setup.extra_start:
-        raise ConfigError(
-            "switching sweep is empty",
-            ["config.experiments.switching: extra_time_stop_ns must exceed "
-             "extra_time_start_ns"])
+    _require(cfg, "experiments.switching")
+    setup = cfg.experiments.switching
 
     if setup.model == "pure_delay":
         model = virtual_lab.PureDelay(setup.switch_delay)

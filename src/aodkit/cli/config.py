@@ -5,10 +5,16 @@ in MHz, times in ns, angles in degrees); everything is converted to SI
 at this boundary so the library below never sees a unit suffix.
 
 Validation is strict and total: unknown keys, missing required fields,
-type and range problems are all collected into one
-:class:`~aodkit.errors.ConfigError` listing every violation.
+type and range problems, and the rules that tie two values together (a
+crosstalk target inside the chain, a switching sweep that ends after it
+starts) are all collected into one :class:`~aodkit.errors.ConfigError`
+listing every violation, whichever command runs.  Every mapping is read
+through a :class:`_Section`; each optical-train entry is one, with its
+keys and constructor taken from the ``_ELEMENTS`` table.  Which sections
+a command needs is the command's own check.
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -23,7 +29,6 @@ from ..errors import (ConfigError, ValidationError, as_count, finite, in_range, 
 from ..prism_designer import PrismPairDesign, ToleranceSpec
 
 UM = 1e-6
-MM = 1e-3
 MHZ = 1e6
 NS = 1e-9
 
@@ -197,14 +202,29 @@ def _build_beam(sec, wavelength):
     )
 
 
-_ELEMENT_KEYS = {
-    "free_space": {"length_um"},
-    "thin_lens": {"focal_length_um", "axis"},
-    "anamorphic_scaler": {"mx", "mz"},
-    "imaging_system": {"magnification"},
-    "aod": {"drive_frequency_mhz"},
-    "image_rotator": {"angle_deg"},
-    "beam_sampler": {"sample_fraction"},
+# Each train element type: its constructor and, per config key, the
+# constructor keyword and the ``_Section.get`` rules.  The rules are at least
+# as strict as the constructor's own checks, ``scale=1.0`` passes the value
+# on as a float, and a key left out takes the constructor's default.
+_ELEMENTS = {
+    "free_space": (beam_optics.FreeSpace, {
+        "length_um": ("length", dict(required=True, check=non_negative, scale=UM))}),
+    "thin_lens": (beam_optics.ThinLens, {
+        "focal_length_um": ("focal_length", dict(required=True, check=nonzero, scale=UM)),
+        "axis": ("axis", dict(types=(str,), choices=("x", "z", "both")))}),
+    "anamorphic_scaler": (beam_optics.AnamorphicScaler, {
+        "mx": ("mx", dict(check=positive)),
+        "mz": ("mz", dict(check=positive))}),
+    "imaging_system": (beam_optics.ImagingSystem, {
+        "magnification": ("magnification", dict(required=True, check=nonzero, scale=1.0))}),
+    "aod": (aod_model.AodSpec.deflector, {
+        "drive_frequency_mhz": ("drive_frequency", dict(check=positive, scale=MHZ))}),
+    "image_rotator": (beam_optics.ImageRotator, {
+        "angle_deg": ("angle", dict(required=True, scale=math.pi / 180.0))}),
+    "beam_sampler": (beam_optics.BeamSampler, {
+        "sample_fraction": ("sample_fraction", dict(
+            required=True, check=lambda path, v: in_range(path, v, 0.0, 1.0, "[)"),
+            scale=1.0))}),
 }
 
 
@@ -212,73 +232,29 @@ def _build_train(entries, path, violations, aod_spec):
     if not isinstance(entries, list) or not entries:
         violations.append(f"{path}: must be a non-empty list of elements")
         return None
+    start = len(violations)
     elements = []
-    ok = True
     for i, entry in enumerate(entries):
         epath = f"{path}[{i}]"
         if not isinstance(entry, dict):
             violations.append(f"{epath}: must be a mapping with a 'type' key")
-            ok = False
             continue
-        etype = entry.get("type")
-        if etype == "aperture":
-            violations.append(
-                f"{epath}: apertures are wave-optics only and cannot sit in a "
-                "propagation train")
-            ok = False
-            continue
-        if etype not in _ELEMENT_KEYS:
-            violations.append(
-                f"{epath}.type: must be one of {sorted(_ELEMENT_KEYS)}, got {etype!r}")
-            ok = False
-            continue
-        unknown = set(entry) - _ELEMENT_KEYS[etype] - {"type"}
-        for key in sorted(unknown):
-            violations.append(f"{epath}.{key}: unknown key for element {etype!r}")
-            ok = False
         sec = _Section(entry, epath, violations)
-        sec.seen.update(entry.keys())
-        before = len(violations)
-        try:
-            if etype == "free_space":
-                elements.append(beam_optics.FreeSpace(
-                    sec.get("length_um", required=True, check=non_negative, scale=UM) or 0.0))
-            elif etype == "thin_lens":
-                f = sec.get("focal_length_um", required=True, check=nonzero, scale=UM)
-                axis = sec.get("axis", default="both", types=(str,),
-                               choices=("x", "z", "both"))
-                if f is not None:
-                    elements.append(beam_optics.ThinLens(f, axis=axis))
-            elif etype == "anamorphic_scaler":
-                elements.append(beam_optics.AnamorphicScaler(
-                    mx=sec.get("mx", default=1.0, check=positive),
-                    mz=sec.get("mz", default=1.0, check=positive)))
-            elif etype == "imaging_system":
-                m = sec.get("magnification", required=True, check=nonzero)
-                if m is not None:
-                    elements.append(beam_optics.ImagingSystem(float(m)))
-            elif etype == "aod":
-                if aod_spec is None:
-                    violations.append(
-                        f"{epath}: an 'aod' element needs the top-level aod section")
-                else:
-                    drive = sec.get("drive_frequency_mhz", check=positive, scale=MHZ)
-                    elements.append(aod_spec.deflector(drive_frequency=drive))
-            elif etype == "image_rotator":
-                angle = sec.get("angle_deg", required=True)
-                if angle is not None:
-                    elements.append(beam_optics.ImageRotator(math.radians(float(angle))))
-            elif etype == "beam_sampler":
-                frac = sec.get("sample_fraction", required=True,
-                               check=lambda path, v: in_range(path, v, 0.0, 1.0))
-                if frac is not None:
-                    elements.append(beam_optics.BeamSampler(float(frac)))
-        except ValidationError as exc:
-            violations.append(f"{epath}: {exc}")
-            ok = False
-        if len(violations) > before:
-            ok = False
-    if not ok:
+        etype = sec.get("type", required=True, types=(str,), choices=_ELEMENTS)
+        if etype is None:
+            continue
+        make, keys = _ELEMENTS[etype]
+        kwargs = {name: sec.get(key, **rules) for key, (name, rules) in keys.items()}
+        sec.finish()
+        if etype == "aod":
+            if aod_spec is None:
+                violations.append(
+                    f"{epath}: an 'aod' element needs the top-level aod section")
+                continue
+            make = functools.partial(make, aod_spec)
+        if len(violations) == start:  # else the train is dropped; keep collecting
+            elements.append(make(**{k: v for k, v in kwargs.items() if v is not None}))
+    if len(violations) > start:
         return None
     return beam_optics.OpticalTrain(tuple(elements))
 
@@ -399,11 +375,6 @@ def _build_addressing(sec):
         collimated_waist=coll)
 
 
-def _get_shots(sec):
-    shots = sec.get("shots", default=None, types=(int,), check=positive)
-    return int(shots) if shots is not None else None
-
-
 def _scan_setup(sec, default_points, **beam):
     """The seven keys every frequency scan shares, plus ``beam`` as given."""
     setup = ScanSetup(
@@ -415,7 +386,7 @@ def _scan_setup(sec, default_points, **beam):
                                scale=MHZ),
         points=sec.get("points", default=default_points, types=(int,),
                        check=lambda path, v: as_count(path, v, 4)),
-        shots=_get_shots(sec),
+        shots=sec.get("shots", types=(int,), check=positive),
         steering_efficiency=sec.get("steering_efficiency_um_per_mhz", default=None,
                                     check=nonzero, scale=UM / MHZ),
         **beam,
@@ -424,7 +395,8 @@ def _scan_setup(sec, default_points, **beam):
     return setup
 
 
-def _build_experiments(sec):
+def _build_experiments(sec, chain):
+    """The experiment setups; ``chain`` (None if absent) bounds the crosstalk target."""
     profile = chain_scan = crosstalk = switching = None
 
     ps = sec.subsection("profile_scan")
@@ -448,9 +420,13 @@ def _build_experiments(sec):
             max_time=ct.get("max_time_ns", required=True, check=positive, scale=NS),
             points=ct.get("points", default=400, types=(int,),
                           check=lambda path, v: as_count(path, v, 8)),
-            shots=_get_shots(ct),
+            shots=ct.get("shots", types=(int,), check=positive),
         )
         ct.finish()
+        if None not in (chain, crosstalk.target_ion) and crosstalk.target_ion >= len(chain):
+            sec.violations.append(
+                f"{ct.path}.target_ion: {crosstalk.target_ion} "
+                f"but the chain holds {len(chain)} ions")
 
     sw = sec.subsection("switching")
     if sw is not None:
@@ -471,9 +447,13 @@ def _build_experiments(sec):
                               scale=NS),
             points=sw.get("points", default=181, types=(int,),
                           check=lambda path, v: as_count(path, v, 8)),
-            shots=_get_shots(sw),
+            shots=sw.get("shots", types=(int,), check=positive),
         )
         sw.finish()
+        if None not in (switching.extra_start, switching.extra_stop) \
+                and switching.extra_stop <= switching.extra_start:
+            sec.violations.append(
+                f"{sw.path}: extra_time_stop_ns must exceed extra_time_start_ns")
 
     sec.finish()
     return ExperimentsSection(profile_scan=profile, chain_scan=chain_scan,
@@ -559,7 +539,7 @@ def parse_config(path):
 
     exp_sec = root.subsection("experiments")
     if exp_sec is not None:
-        experiments = _build_experiments(exp_sec)
+        experiments = _build_experiments(exp_sec, chain)
     else:
         experiments = ExperimentsSection(None, None, None, None)
 

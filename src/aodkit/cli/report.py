@@ -97,8 +97,7 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_run_report(outdir, slug, command, config_digest, convention, seed,
-                     results, artifact_paths):
+def write_run_report(outdir, slug, command, config_digest, seed, results, artifact_paths):
     """Assemble and write ``<slug>_report.json``; returns its path.
 
     The manifest lists every other emitted file with size and digest.
@@ -116,7 +115,6 @@ def write_run_report(outdir, slug, command, config_digest, convention, seed,
     payload = {
         "command": command,
         "config_digest": config_digest,
-        "prism_convention": convention,
         "seed": seed,
         "results": jsonable(results),
         "artifacts": manifest,

@@ -43,7 +43,7 @@ def test_trace_writes_verifiable_report(tmp_path):
     assert main(["trace", "--config", CONFIG, "--out", str(tmp_path)]) == 0
     rep = _read_report(tmp_path, "trace")
     assert rep["command"] == "trace"
-    assert rep["prism_convention"] == "grazing-chained"
+    assert "prism_convention" not in rep
     assert rep["seed"] == 20250814
     assert rep["config_digest"] == hashlib.sha256(
         Path(CONFIG).read_bytes()).hexdigest()
@@ -57,6 +57,10 @@ def test_trace_writes_verifiable_report(tmp_path):
     # negative zero must not leak into artifacts
     text = (tmp_path / "trace_report.json").read_text(encoding="utf-8")
     assert "-0.0" not in text
+    # the prism angle convention is reported where prism results are
+    assert main(["design-prism", "--config", CONFIG, "--out", str(tmp_path)]) == 0
+    assert _read_report(tmp_path, "design_prism")["results"]["convention"] == \
+        "grazing-chained"
 
 
 def test_steer_reports_reference_geometry(tmp_path):
@@ -252,9 +256,58 @@ def test_bad_chain_positions_are_reported_per_entry(tmp_path, capsys):
     assert "config.chain.positions_um[3]: must be finite" in err
 
 
+TARGET_OUTSIDE = "config.experiments.crosstalk.target_ion: 30 but the chain holds 30 ions"
+EMPTY_SWEEP = ("config.experiments.switching: extra_time_stop_ns must exceed "
+               "extra_time_start_ns")
+
+
+@pytest.mark.parametrize("command", [["lab", "crosstalk"], ["lab", "switching"], ["trace"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("experiment, values, violation", [
+    ("crosstalk", {"target_ion": 30}, TARGET_OUTSIDE),
+    ("switching", {"extra_time_start_ns": 900.0}, EMPTY_SWEEP),
+    ("switching", {"extra_time_start_ns": 500.0, "extra_time_stop_ns": 400.0}, EMPTY_SWEEP),
+], ids=["target-outside", "stop-at-start", "stop-before-start"])
+def test_experiment_value_rule_fails_every_command(tmp_path, capsys, command, experiment,
+                                                   values, violation):
+    data = _reference_data()
+    data["experiments"][experiment].update(values)
+    out = tmp_path / "out"
+    assert main(command + ["--config", _write_config(tmp_path, data),
+                           "--out", str(out)]) == 2
+    assert violation in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_value_rules_accept_the_edge(tmp_path):
+    data = _reference_data()
+    data["experiments"]["crosstalk"]["target_ion"] = 29
+    data["experiments"]["switching"].update(extra_time_start_ns=899.0)
+    exps = parse_config(_write_config(tmp_path, data)).experiments
+    assert exps.crosstalk.target_ion == 29
+    assert exps.switching.extra_stop > exps.switching.extra_start
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_output_path_blocked_by_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    ran = []
+    monkeypatch.setitem(HANDLERS, "monitor", ("monitor", lambda ctx: ran.append(ctx)))
+    out = blocker / below if below else blocker
+    assert main(["monitor", "--config", CONFIG, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(blocker) in err
+    assert not ran  # refused before the handler does any work
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_nearest_neighbor_rate_uses_the_closest_pair(tmp_path):
-    cfg = _edited_config(tmp_path, "chain", count=None, spacing_um=None,
-                         positions_um=[0.0, 10.0, 13.8])
+    data = _reference_data()
+    data["chain"] = {"positions_um": [0.0, 10.0, 13.8]}
+    data["experiments"]["crosstalk"]["target_ion"] = 1  # inside the three-ion chain
+    cfg = _write_config(tmp_path, data)
     assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 0
     res = _read_report(tmp_path, "crosstalk")["results"]
     assert res["nearest_neighbor_rate"] == pytest.approx(
