@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import finite, non_negative
 
+STEP_TOLERANCE = 1e-11  # per-step amplitude error; holds closed forms to well under 1e-8
+
 
 def _deriv(t, cg, ce, omega, delta):
     om = omega(t) if callable(omega) else omega
@@ -32,12 +34,10 @@ def _rk4_step(t, cg, ce, h, omega, delta):
             ce + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e))
 
 
-def excited_population(omega, detuning, duration, tol=1e-11):
+def excited_population(omega, detuning, duration):
     """Excited-state population after driving from the ground state.
 
     ``omega`` is the (possibly time-dependent) Rabi rate in rad/s.
-    Accuracy is controlled by the per-step tolerance ``tol``; the
-    default holds closed-form comparisons to well under 1e-8.
     """
     non_negative("duration", duration)
     finite("detuning", detuning)
@@ -55,14 +55,14 @@ def excited_population(omega, detuning, duration, tol=1e-11):
         half_g, half_e = _rk4_step(t, cg, ce, 0.5 * h, omega, detuning)
         dbl_g, dbl_e = _rk4_step(t + 0.5 * h, half_g, half_e, 0.5 * h, omega, detuning)
         err = max(abs(dbl_g - full_g), abs(dbl_e - full_e))
-        if err > tol and h > 1e-18 * duration:
+        if err > STEP_TOLERANCE and h > 1e-18 * duration:
             h *= 0.5
             continue
         # 5th-order local extrapolation
         cg = dbl_g + (dbl_g - full_g) * (1.0 / 15.0)
         ce = dbl_e + (dbl_e - full_e) * (1.0 / 15.0)
         t += h
-        if err < tol / 32.0:
+        if err < STEP_TOLERANCE / 32.0:
             h *= 2.0
     # numpy's complex modulus: abs() (libm hypot) can differ in the last bit
     return float(np.abs(np.complex128(ce)) ** 2)

@@ -189,20 +189,17 @@ def cmd_trace(ctx):
 
 
 def _fourier_subtrain(train):
-    """Elements up to the back focal plane of the first lens after the AOD."""
+    """Elements up to the back focal plane of the first x lens after the AOD,
+    of a train that :func:`aod_model.steering_map` accepts."""
     elements = list(train)
-    aod_idx = next((i for i, el in enumerate(elements)
-                    if isinstance(el, beam_optics.AodDeflector)), None)
-    if aod_idx is None:
-        return None
-    for j in range(aod_idx + 1, len(elements)):
-        el = elements[j]
-        if isinstance(el, beam_optics.ThinLens) and el.axis in ("x", "both"):
-            end = j + 1
-            if end < len(elements) and isinstance(elements[end], beam_optics.FreeSpace):
-                end += 1
-            return beam_optics.OpticalTrain(tuple(elements[:end]))
-    return None
+    aod_idx = next(i for i, el in enumerate(elements)
+                   if isinstance(el, beam_optics.AodDeflector))
+    end = 1 + next(j for j in range(aod_idx + 1, len(elements))
+                   if isinstance(elements[j], beam_optics.ThinLens)
+                   and elements[j].axis in ("x", "both"))
+    if end < len(elements) and isinstance(elements[end], beam_optics.FreeSpace):
+        end += 1
+    return beam_optics.OpticalTrain(tuple(elements[:end]))
 
 
 def cmd_steer(ctx):
@@ -212,17 +209,14 @@ def cmd_steer(ctx):
     lo, hi = spec.band()
     freqs = np.linspace(lo, hi, 101)
 
-    fourier_train = _fourier_subtrain(cfg.train)
-    ion = aod_model.steering_map(spec, cfg.train, freqs)
-    fourier = (aod_model.steering_map(spec, fourier_train, freqs)
-               if fourier_train is not None else np.full(freqs.shape, np.nan))
+    ion = aod_model.steering_map(spec, cfg.train, freqs)  # checks the train first
+    fourier = aod_model.steering_map(spec, _fourier_subtrain(cfg.train), freqs)
     angles = aod_model.deflection_angle(spec, freqs)
 
     eff = _steering_efficiency(cfg, None)
     results = {
         "full_band_deflection_mrad": aod_model.full_band_swing(spec) * 1e3,
-        "fourier_span_um": (float(fourier[-1] - fourier[0]) / UM
-                            if fourier_train is not None else None),
+        "fourier_span_um": float(fourier[-1] - fourier[0]) / UM,
         "ion_span_um": float(ion[-1] - ion[0]) / UM,
         "steering_efficiency_um_per_mhz": eff / (UM / MHZ),
         "band_mhz": [lo / MHZ, hi / MHZ],

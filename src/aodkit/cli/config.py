@@ -26,7 +26,7 @@ from .. import aod_model, beam_optics
 from ..addressing_analyzer import COUPLING_MODES, IonChain
 from ..errors import (ConfigError, ValidationError, as_count, finite, in_range, non_negative,
                       nonzero, positive)
-from ..prism_designer import PrismPairDesign, ToleranceSpec
+from ..prism_designer import ANGLE_NAMES, PrismPairDesign, ToleranceSpec
 
 UM = 1e-6
 MHZ = 1e6
@@ -269,16 +269,11 @@ def _build_prism(sec):
     target = sec.get("target_expansion", default=None, check=positive)
     samples = sec.get("monte_carlo_samples", default=100000, types=(int,), check=positive)
     tol_sec = sec.subsection("tolerances_deg")
-    if tol_sec is not None:
-        tol = ToleranceSpec(
-            alpha=tol_sec.get("alpha", default=1.0, check=non_negative),
-            alpha_prime=tol_sec.get("alpha_prime", default=1.0, check=non_negative),
-            beta=tol_sec.get("beta", default=0.25, check=non_negative),
-            beta_prime=tol_sec.get("beta_prime", default=0.25, check=non_negative),
-        )
+    tolerances = {}
+    if tol_sec is not None:  # a key left out takes ToleranceSpec's default
+        tolerances = {k: tol_sec.get(k, check=non_negative) for k in ANGLE_NAMES}
         tol_sec.finish()
-    else:
-        tol = ToleranceSpec()
+    tol = ToleranceSpec(**{k: v for k, v in tolerances.items() if v is not None})
     sec.finish()
     if None in (alpha, alpha_prime, beta, beta_prime, index):
         return None

@@ -250,6 +250,27 @@ _LSQ_TOL = 1e-12
 _LSQ_MAX_STEPS = 200
 
 
+@dataclass(frozen=True)
+class _LsqFit:
+    """What :func:`_least_squares` returns; ``cost`` is ``0.5 |residuals|^2``."""
+
+    x: np.ndarray
+    residuals: np.ndarray
+    jacobian: np.ndarray
+    cost: float
+    success: bool
+
+    @property
+    def covariance(self):
+        """``inv(J^T J) 2 cost / max(m - p, 1)``; inf where ``J^T J`` is singular."""
+        m, p = self.jacobian.shape
+        try:
+            cov = np.linalg.inv(self.jacobian.T @ self.jacobian)
+        except np.linalg.LinAlgError:
+            return np.full((p, p), math.inf)
+        return cov * (2.0 * self.cost / max(m - p, 1))
+
+
 def _least_squares(residuals, jacobian, x0, lower, upper, scale):
     """Minimise ``0.5 |residuals(x)|^2`` inside the box ``[lower, upper]``.
 
@@ -261,9 +282,8 @@ def _least_squares(residuals, jacobian, x0, lower, upper, scale):
     into the box.  Stops when an accepted step lowers the cost by less
     than ``_LSQ_TOL`` of it, when a step is shorter than ``_LSQ_TOL`` of
     the scaled ``|x|``, or when the projected scaled gradient is below
-    ``_LSQ_TOL``.  Returns ``(x, residuals, jacobian, cost, success)``;
-    ``success`` is False when the start is not finite or
-    ``_LSQ_MAX_STEPS`` steps run out.
+    ``_LSQ_TOL``.  Returns a :class:`_LsqFit`, whose ``success`` is False
+    when the start is not finite or ``_LSQ_MAX_STEPS`` steps run out.
     """
     lower, upper, scale = (np.asarray(v, dtype=float) for v in (lower, upper, scale))
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
@@ -271,14 +291,14 @@ def _least_squares(residuals, jacobian, x0, lower, upper, scale):
     cost = 0.5 * float(r @ r)
     jac = jacobian(x)
     if not (math.isfinite(cost) and np.isfinite(jac).all()):
-        return x, r, jac, cost, False
+        return _LsqFit(x, r, jac, cost, False)
     lam, grow = None, 2.0
     for _ in range(_LSQ_MAX_STEPS):
         js = jac * scale
         g = js.T @ r
         free = ~((x <= lower) & (g > 0.0) | (x >= upper) & (g < 0.0))
         if np.abs(g[free]).max(initial=0.0) <= _LSQ_TOL:
-            return x, r, jac, cost, True
+            return _LsqFit(x, r, jac, cost, True)
         a = js[:, free].T @ js[:, free]
         if lam is None:
             lam = 1e-3 * float(a.diagonal().max())
@@ -287,7 +307,7 @@ def _least_squares(residuals, jacobian, x0, lower, upper, scale):
         x_new[free] = np.clip(x[free] + scale[free] * step, lower[free], upper[free])
         z_norm = np.linalg.norm(x / scale)
         if np.linalg.norm((x_new - x) / scale) <= _LSQ_TOL * (_LSQ_TOL + z_norm):
-            return x, r, jac, cost, True
+            return _LsqFit(x, r, jac, cost, True)
         r_new = residuals(x_new)
         cost_new = 0.5 * float(r_new @ r_new)
         if cost_new < cost:
@@ -298,11 +318,11 @@ def _least_squares(residuals, jacobian, x0, lower, upper, scale):
             converged = cost - cost_new <= _LSQ_TOL * cost
             x, r, cost, jac = x_new, r_new, cost_new, jacobian(x_new)
             if converged:
-                return x, r, jac, cost, True
+                return _LsqFit(x, r, jac, cost, True)
         else:
             lam *= grow
             grow *= 2.0
-    return x, r, jac, cost, False
+    return _LsqFit(x, r, jac, cost, False)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +381,7 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     f0_init = float(freqs[np.argmax(p1)])
     om_init = _resonant_rate(peak, t)
     above = freqs[p1 >= 0.5 * peak]
-    half_span = max(0.5 * (above[-1] - above[0]), abs(freqs[1] - freqs[0]))
+    half_span = max(0.5 * abs(above[-1] - above[0]), abs(freqs[1] - freqs[0]))
     w_init = max(abs(steering_efficiency) * half_span, 1e-12)
 
     def parts(params):
@@ -383,20 +403,20 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
             d_rate * om0 * envelope * 2.0 * power * off**2 / w**3,
         ])
 
-    span = float(freqs[-1] - freqs[0])
-    x, r, _, _, success = _least_squares(
+    span = float(np.ptp(freqs))  # the sweep may run up or down
+    fit = _least_squares(
         residuals, jacobian, [om_init, f0_init, w_init],
-        lower=[1e-6 * om_init, freqs[0] - span, 1e-3 * w_init],
-        upper=[1e4 * om_init, freqs[-1] + span, 1e4 * w_init],
+        lower=[1e-6 * om_init, freqs.min() - span, 1e-3 * w_init],
+        upper=[1e4 * om_init, freqs.max() + span, 1e4 * w_init],
         scale=[om_init, max(span, 1.0), w_init])
-    if not success:
+    if not fit.success:
         raise FitFailureError("profile fit did not converge")
-    rms = float(np.sqrt(np.mean(r**2)))
+    rms = float(np.sqrt(np.mean(fit.residuals**2)))
     noise_floor = 0.5 / math.sqrt(trace.shots) if trace.shots else 0.05
     if rms > max(0.25 * peak, 3.0 * noise_floor):
         raise FitFailureError(
             f"profile fit residual rms {rms:.3g} rejects the Gaussian model")
-    om0, fc, w = (float(v) for v in x)
+    om0, fc, w = (float(v) for v in fit.x)
     return ProfileFit(waist=abs(w), center_frequency=fc, peak_rabi=om0,
                       residual_rms=rms, mode=mode)
 
@@ -548,20 +568,11 @@ def _fit_sinusoid(times, p1):
             continue
         fit = _least_squares(residuals, jacobian, [om0, max(peak, 0.1)],
                              lower=[0.0, 0.0], upper=[np.inf, 1.05], scale=[om0, 1.0])
-        if fit[4] and (best is None or fit[3] < best[3]):
+        if fit.success and (best is None or fit.cost < best.cost):
             best = fit
     if best is None:
         raise FitFailureError("sinusoid fit did not converge")
-    x, _, jac, cost, _ = best
-    om = float(x[0])
-
-    dof = max(n - 2, 1)
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * (2.0 * cost / dof)
-        sigma = float(math.sqrt(max(cov[0, 0], 0.0)))
-    except np.linalg.LinAlgError:
-        sigma = math.inf
-    return om, sigma
+    return float(best.x[0]), math.sqrt(max(best.covariance[0, 0], 0.0))
 
 
 BOUND_THRESHOLD = 0.5  # below this max P1 the quarter oscillation never happened

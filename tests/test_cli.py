@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from aodkit.cli.commands import HANDLERS, RunContext
 from aodkit.cli.config import parse_config
 from aodkit.cli.report import Plot, Table
 from aodkit.errors import ConfigError
+from aodkit.prism_designer import ToleranceSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "paper_system.yaml")
@@ -71,6 +73,34 @@ def test_steer_reports_reference_geometry(tmp_path):
     assert res["ion_span_um"] == pytest.approx(155.70175438596492, rel=1e-9)
     assert res["steering_efficiency_um_per_mhz"] == pytest.approx(
         1.557017543859649, rel=1e-9)
+
+
+def test_steer_without_focusing_lens_is_a_config_error(tmp_path, capsys):
+    cfg = _train_config(tmp_path, {"type": "aod"},
+                        {"type": "thin_lens", "focal_length_um": 1.0e5, "axis": "z"})
+    out = tmp_path / "out"
+    assert main(["steer", "--config", cfg, "--out", str(out)]) == 2
+    assert "focusing lens on the x axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_profile_scan_sweeps_either_way(tmp_path):
+    data = _reference_data()
+    scan = data["experiments"]["profile_scan"]
+    scan["frequency_start_mhz"], scan["frequency_stop_mhz"] = \
+        scan["frequency_stop_mhz"], scan["frequency_start_mhz"]
+    out = tmp_path / "out"
+    assert main(["lab", "profile-scan", "--config", _write_config(tmp_path, data),
+                 "--out", str(out)]) == 0
+    res = _read_report(out, "lab_profile_scan")["results"]
+    assert res["fitted_waist_um"] == pytest.approx(1.57, rel=0.05)
+
+
+def test_partial_tolerances_take_the_spec_defaults(tmp_path):
+    data = _reference_data()
+    data["prism"]["tolerances_deg"] = {"beta": 0.5}
+    tolerances = parse_config(_write_config(tmp_path, data)).prism.tolerances
+    assert tolerances == dataclasses.replace(ToleranceSpec(), beta=0.5)
 
 
 def test_design_prism_with_target_override(tmp_path):

@@ -220,3 +220,15 @@ def test_isfinite_only_in_the_shared_checks():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             calls |= {(path.name, f) for f in _isfinite_callers(tree, None, set())}
     assert calls <= ISFINITE_ALLOWED, sorted(calls - ISFINITE_ALLOWED)
+
+
+def test_one_matrix_inverse_in_the_package():
+    # the covariance rule has one home: the least-squares result record
+    package = Path(aodkit.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                    and getattr(node.value, "attr", None) == "linalg"):
+                found.append(path.name)
+    assert found == ["virtual_lab.py"]

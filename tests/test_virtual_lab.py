@@ -58,6 +58,17 @@ def test_profile_scan_noiseless_round_trip():
         assert fit.residual_rms < 1e-9
 
 
+def test_profile_fit_takes_either_sweep_direction():
+    drive = vl.RabiDrive.from_pi_time(2000e-9)
+    up, down = (vl.fit_gaussian_profile(
+        vl.simulate_profile_scan(1.57e-6, STEERING_EFF, drive, freqs, 150e6),
+        drive, STEERING_EFF)
+        for freqs in (np.linspace(145e6, 155e6, 201), np.linspace(155e6, 145e6, 201)))
+    assert up.waist == 1.569999999994717e-06
+    for name in ("waist", "center_frequency", "peak_rabi"):
+        assert getattr(down, name) == pytest.approx(getattr(up, name), rel=1e-12), name
+
+
 @pytest.mark.parametrize("detuning_mhz", [0.1, 0.3])
 def test_profile_fit_rejects_detuned_drive(detuning_mhz):
     # the resonant model would fit this noiseless scan 10 % (0.1 MHz) to
@@ -99,6 +110,22 @@ def test_profile_scan_amplitude_mode_round_trip():
     assert fit.waist == pytest.approx(1.57e-6, rel=1e-6)
 
 
+def test_least_squares_covariance_rule():
+    t = np.linspace(0.0, 1.0, 7)
+    y = 2.0 * t + 1.0 + 0.01 * np.cos(9.0 * t)
+    design = np.column_stack([t, np.ones_like(t)])
+    fit = vl._least_squares(lambda p: design @ p - y, lambda p: design, [0.0, 0.0],
+                            lower=[-10.0, -10.0], upper=[10.0, 10.0], scale=[1.0, 1.0])
+    coef, (sum_sq,), _, _ = np.linalg.lstsq(design, y, rcond=None)
+    assert fit.success
+    assert np.allclose(fit.x, coef, rtol=1e-9)
+    # residual variance over m - p = 5 degrees of freedom
+    expected = np.linalg.inv(design.T @ design) * sum_sq / 5
+    assert np.allclose(fit.covariance, expected, rtol=1e-6)
+    singular = vl._LsqFit(fit.x, fit.residuals, np.zeros((7, 2)), fit.cost, True)
+    assert np.array_equal(singular.covariance, np.full((2, 2), math.inf))
+
+
 def _captured_problems(monkeypatch, run):
     """The least-squares problems ``run`` poses, with the solver's answers."""
     problems = []
@@ -120,10 +147,11 @@ def _check_against_trf(problems):
     as TRF given the analytic Jacobian, and that Jacobian right."""
     from scipy.optimize import least_squares
 
-    for (residuals, jacobian, x0, lower, upper, scale), (x, r, jac, cost, ok) in problems:
-        assert ok
+    for (residuals, jacobian, x0, lower, upper, scale), fit in problems:
+        x, r, cost = fit.x, fit.residuals, fit.cost
+        assert fit.success
         assert cost == pytest.approx(0.5 * float(r @ r), rel=1e-15)
-        assert np.array_equal(jac, jacobian(x))
+        assert np.array_equal(fit.jacobian, jacobian(x))
         trf = least_squares(residuals, x0=x0, bounds=(lower, upper), x_scale=scale)
         assert trf.success and cost <= trf.cost * (1.0 + 1e-9)
         # finite-difference TRF stops up to 4e-4 from the minimum; given
@@ -163,6 +191,22 @@ def test_profile_fit_solver_matches_trf(monkeypatch, mode, shots):
 # alone, without freezing that variable, stalls there.
 BOUND_CASE = (20, 3.554023167073943e-06, 1.6227622185148693e-06, 200, 1486044420)
 BOUND_CASE_OMEGA = 41.80341724
+# per run below, (rabi_sigma, ratio_sigma) of every fitted ion; each bounded
+# ion reports 0 for both (its peak readout is 0, so its rate bound is 0)
+RUN_SIGMAS = [
+    {9: (1.8745214280214548, 2.9713807556855565e-06),
+     10: (803.4224560762364, 0.001800264085421816),
+     11: (1.887718862130031, 2.992175498692433e-06)},
+    {4: (0.16285354171305422, 4.882832128816766e-07),
+     5: (776.7415191134169, 0.0017434424609006594),
+     6: (0.15732297606309742, 4.838385960201766e-07)},
+    {4: (0.07403943260399645, 1.5390434561908937e-07),
+     5: (315.2637783273769, 0.0007070921523598201),
+     6: (0.0731050723096031, 1.5267739421399058e-07)},
+    {4: (0.4387695177322489, 7.125730810082271e-07),
+     5: (780.628017105647, 0.0017540634474836132),
+     6: (0.3829585243841033, 6.269391974798715e-07)},
+]
 
 
 def test_sinusoid_fit_solver_matches_trf(monkeypatch):
@@ -181,8 +225,13 @@ def test_sinusoid_fit_solver_matches_trf(monkeypatch):
     assert len(problems) > 10
     _check_against_trf(problems)
     assert results[0].rabi_rates[11] == pytest.approx(BOUND_CASE_OMEGA, rel=1e-8)
-    assert any(x[1] == 1.05 and x[0] == pytest.approx(BOUND_CASE_OMEGA, rel=1e-8)
-               for _, (x, *_) in problems)
+    assert any(fit.x[1] == 1.05 and fit.x[0] == pytest.approx(BOUND_CASE_OMEGA, rel=1e-8)
+               for _, fit in problems)
+    for res, pinned in zip(results, RUN_SIGMAS, strict=True):
+        assert np.flatnonzero(~res.bounded).tolist() == sorted(pinned)
+        sigmas = {i: (float(res.rabi_sigmas[i]), float(res.ratio_sigmas[i]))
+                  for i in np.flatnonzero((res.rabi_sigmas != 0) | (res.ratio_sigmas != 0))}
+        assert sigmas == pinned
 
 
 def test_chain_scan_resolves_every_ion():
