@@ -17,16 +17,10 @@ bloch
     Reference two-level integrator for validating the closed forms.
 cli
     ``aodkit`` command-line interface.
-"""
 
-from . import (  # noqa: F401
-    addressing_analyzer,
-    aod_model,
-    beam_optics,
-    bloch,
-    errors,
-    prism_designer,
-    virtual_lab,
-)
+``import aodkit`` loads none of these, so it costs neither numpy nor
+their compilation; import each by name (``from aodkit import
+beam_optics``).
+"""
 
 __version__ = "0.1.0"

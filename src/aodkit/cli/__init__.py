@@ -12,20 +12,29 @@ environment variable, then ``output.directory`` in the config, then
 ``./aodkit-out``.  Seed precedence: ``--seed``, then ``seed`` in the
 config; commands that need randomness without either generate one and
 echo it.
+
+Only the standard library loads before the arguments parse: ``--help``
+and usage errors never import numpy, PyYAML or the physics modules, and
+a command loads only the modules it runs.
 """
 
 import argparse
+import importlib
 import os
 import sys
 import time
 
-from ..errors import ConfigError, DomainError, ValidationError, as_count
-from .commands import HANDLERS, RunContext
-from .config import parse_config
-from .report import write_artifacts, write_run_report
-
 OUTPUT_ENV_VAR = "AODKIT_OUT"
 DEFAULT_OUTPUT = "aodkit-out"
+
+# Names this module re-exports from its submodules, loaded on first access.
+_REEXPORTS = {"parse_config": ".config", "write_run_report": ".report"}
+
+
+def __getattr__(name):
+    if name in _REEXPORTS:
+        return getattr(importlib.import_module(_REEXPORTS[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_common(parser):
@@ -80,6 +89,7 @@ def _resolve_outdir(args, cfg):
     while not os.path.exists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(head):
+        from ..errors import ConfigError
         raise ConfigError(f"output directory {outdir}: {head} is not a directory")
     return outdir
 
@@ -98,11 +108,16 @@ def _print_results(results, indent="  "):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # Submodule attributes are read at call time, so a wrapper installed on
+    # them (a tracer, a test double) sees every call.
+    from ..errors import ConfigError, DomainError, ValidationError, as_count
+    from . import commands, config, report
+
     key = args.command if args.command != "lab" else f"lab {args.lab_command}"
-    slug, handler = HANDLERS[key]
+    slug, handler = commands.HANDLERS[key]
 
     try:
-        cfg = parse_config(args.config)
+        cfg = config.parse_config(args.config)
         outdir = _resolve_outdir(args, cfg)
         seed = args.seed if args.seed is not None else cfg.seed
         if seed is not None:
@@ -110,15 +125,16 @@ def main(argv=None):
                 seed = as_count("seed", seed, 0)
             except ValidationError as exc:
                 raise ConfigError(str(exc)) from None
-        ctx = RunContext(cfg=cfg, seed=seed, target=getattr(args, "target", None))
+        ctx = commands.RunContext(cfg=cfg, seed=seed, target=getattr(args, "target", None))
 
         start = time.perf_counter()
         results, artifacts = handler(ctx)
         os.makedirs(outdir, exist_ok=True)  # only once the handler has succeeded
-        paths = write_artifacts(outdir, artifacts)
+        paths = report.write_artifacts(outdir, artifacts)
         wall = time.perf_counter() - start
 
-        report_path = write_run_report(outdir, slug, key, cfg.digest, ctx.seed, results, paths)
+        report_path = report.write_run_report(outdir, slug, key, cfg.digest, ctx.seed,
+                                              results, paths)
 
         print(f"command: {key}")
         print(f"config digest: {cfg.digest[:16]}")

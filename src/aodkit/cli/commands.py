@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .. import addressing_analyzer as addressing
-from .. import aod_model, beam_optics, prism_designer, virtual_lab
+from .. import aod_model, beam_optics, prism_designer
 from ..errors import ConfigError
 from .config import MHZ, NS, UM
 from .report import Plot, Table
@@ -71,7 +71,9 @@ def cmd_design_prism(ctx):
     cfg = ctx.cfg
     _require(cfg, "prism")
     design = cfg.prism.design
-    target = ctx.target or cfg.prism.target_expansion or prism_designer.ANCHOR_EXPANSION
+    target = ctx.target
+    if target is None:
+        target = cfg.prism.target_expansion or prism_designer.ANCHOR_EXPANSION
 
     configured = prism_designer.expansion_factor(design)
     solution = prism_designer.solve_alpha_prime(
@@ -359,11 +361,15 @@ def cmd_misalign(ctx):
 
 # ---------------------------------------------------------------------------
 # Virtual-lab commands
+#
+# Each imports virtual_lab itself, so the other commands never load it.
 # ---------------------------------------------------------------------------
 
 
 def _scan_inputs(cfg, setup):
     """Steering efficiency, drive and frequency grid of a frequency scan."""
+    from .. import virtual_lab
+
     eff = _steering_efficiency(cfg, setup.steering_efficiency)
     drive = virtual_lab.RabiDrive(math.pi / setup.pi_time, setup.drive_time)
     freqs = np.linspace(setup.frequency_start, setup.frequency_stop, setup.points)
@@ -371,6 +377,8 @@ def _scan_inputs(cfg, setup):
 
 
 def cmd_lab_profile_scan(ctx):
+    from .. import virtual_lab
+
     cfg = ctx.cfg
     _require(cfg, "experiments.profile_scan")
     setup = cfg.experiments.profile_scan
@@ -407,6 +415,8 @@ def cmd_lab_profile_scan(ctx):
 
 
 def cmd_lab_chain_scan(ctx):
+    from .. import virtual_lab
+
     cfg = ctx.cfg
     _require(cfg, "chain", "addressing", "experiments.chain_scan")
     setup = cfg.experiments.chain_scan
@@ -437,6 +447,8 @@ def cmd_lab_chain_scan(ctx):
 
 
 def cmd_lab_crosstalk(ctx):
+    from .. import virtual_lab
+
     cfg = ctx.cfg
     _require(cfg, "chain", "addressing", "experiments.crosstalk")
     setup = cfg.experiments.crosstalk
@@ -492,6 +504,8 @@ def cmd_lab_crosstalk(ctx):
 
 
 def cmd_lab_switching(ctx):
+    from .. import virtual_lab
+
     cfg = ctx.cfg
     _require(cfg, "experiments.switching")
     setup = cfg.experiments.switching

@@ -85,6 +85,22 @@ def test_traced_ops_count_and_have_no_unexpected_failure(bench, harness):
             "prism_designer.tolerance_monte_carlo.samples"} <= counted, counted
 
 
+def test_traced_cli_command_records_its_stage_spans(tmp_path, harness):
+    """``main`` reads the config parser, handler table and report writer at
+    call time, so the wrappers the tracer installs record their spans."""
+    tracer = harness[0].Tracer()
+    tracer.install(cli=True)
+    config = os.path.join(ROOT, "configs", "paper_system.yaml")
+    try:
+        assert main(["trace", "--config", config, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for name in ("cli.config.parse_config", "cli.handler.trace",
+                 "cli.report.write_run_report", "cli.report.write_csv"):
+        assert names.count(name) == 1, names
+
+
 @pytest.mark.parametrize("workload, message", [
     ("lab-noisy", "fitted waist off"), ("design-sweep", "crosstalk diagonal is not 1")])
 def test_injected_fault_trips_a_check(bench, harness, workload, message):

@@ -160,6 +160,14 @@ def test_negative_seed_rejected(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_zero_target_flag_is_a_domain_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["design-prism", "--config", CONFIG, "--target", "0",
+                 "--out", str(out)]) == 1
+    assert "target must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unachievable_target_is_a_domain_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL_PRISM_CONFIG, encoding="utf-8")
@@ -402,16 +410,70 @@ print(len(commands))
 """
 
 
-def test_every_command_runs_without_scipy(tmp_path):
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's aodkit."""
     import aodkit
 
     src = str(Path(aodkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, CONFIG, str(tmp_path)],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    proc = _run_python(_IMPORT_PROBE, CONFIG, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "12"
+
+
+_LOADED_PROBE = """
+import sys
+from aodkit.cli import main
+try:
+    print("exit", main(sys.argv[1:]))
+except SystemExit as exc:
+    print("exit", exc.code)
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("aodkit", "numpy", "yaml")))
+"""
+
+
+def _loaded_after(*argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the aodkit,
+    numpy and yaml modules it left loaded."""
+    proc = _run_python(_LOADED_PROBE, *argv)
+    *_, exit_line, modules = proc.stdout.splitlines()
+    return int(exit_line.split()[1]), set(modules.split())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lab", "--help"], ["trace"],
+                                  ["no-such-command"]])
+def test_help_and_usage_errors_load_no_physics(argv):
+    code, loaded = _loaded_after(*argv)
+    assert code == (0 if "--help" in argv else 2)
+    assert loaded == {"aodkit", "aodkit.cli"}
+
+
+def test_only_lab_commands_load_the_virtual_lab(tmp_path):
+    common = ["--config", CONFIG, "--out", str(tmp_path)]
+    code, loaded = _loaded_after("trace", *common)
+    assert code == 0
+    assert "aodkit.beam_optics" in loaded and "aodkit.virtual_lab" not in loaded
+    code, loaded = _loaded_after("lab", "switching", *common)
+    assert code == 0
+    assert "aodkit.virtual_lab" in loaded
+
+
+def test_lazy_reexports_are_the_submodule_functions():
+    # perfbench's tracer wraps these two names on aodkit.cli by getattr
+    proc = _run_python("""
+import aodkit.cli
+from aodkit.cli import config, report
+assert getattr(aodkit.cli, "parse_config") is config.parse_config
+assert getattr(aodkit.cli, "write_run_report") is report.write_run_report
+assert not hasattr(aodkit.cli, "HANDLERS")
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_runs():
