@@ -468,9 +468,9 @@ def test_lazy_reexports_are_the_submodule_functions():
     # perfbench's tracer wraps these two names on aodkit.cli by getattr
     proc = _run_python("""
 import aodkit.cli
+parse, write = getattr(aodkit.cli, "parse_config"), getattr(aodkit.cli, "write_run_report")
 from aodkit.cli import config, report
-assert getattr(aodkit.cli, "parse_config") is config.parse_config
-assert getattr(aodkit.cli, "write_run_report") is report.write_run_report
+assert parse is config.parse_config and write is report.write_run_report
 assert not hasattr(aodkit.cli, "HANDLERS")
 """)
     assert proc.returncode == 0, proc.stderr
