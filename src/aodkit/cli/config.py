@@ -356,6 +356,8 @@ def _build_addressing(sec):
     half = sec.get("steering_half_range_um", default=75.0, check=non_negative, scale=UM)
     ratios = sec.get("clipping_ratios", default=[0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0],
                      types=(list,))
+    if not ratios:
+        sec.violations.append(f"{sec.path}.clipping_ratios: must hold at least one ratio")
     coll = sec.get("collimated_waist_um", default=1500.0, check=positive, scale=UM)
     sec.finish()
     if None in (waist, perp):

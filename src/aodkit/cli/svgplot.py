@@ -53,11 +53,13 @@ def line_plot(path, x, series, xlabel="", ylabel="", title="", ylog=False):
         return (y > 0.0) if ylog else True
 
     ys_all = [y for ys in cleaned.values() for y in ys if usable(y)]
+    # with nothing to draw, the axes span [0, 1] in plotted (log or linear) space
     if not ys_all or not xs:
-        ys_all = [0.0, 1.0]
-    ty_all = [math.log10(y) for y in ys_all] if ylog else ys_all
+        ty_all = [0.0, 1.0]
+    else:
+        ty_all = [math.log10(y) for y in ys_all] if ylog else ys_all
 
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     y_lo, y_hi = min(ty_all), max(ty_all)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0

@@ -14,14 +14,14 @@ crosstalk ``(0, ion, k)`` on the target grid and ``(1, ion, k)`` on the
 long grid; switching ``(i, ion)``.  The key reaches the seed sequence as
 the uint32 words it would make of that tuple (each int as its
 little-endian 32-bit words, so a seed of 2**32 or more takes several).
-Rather than build a ``SeedSequence`` and a ``PCG64`` per point,
-``_readout`` runs the seed sequence's pool mixing over a block of points
-at once in uint32 array arithmetic, turns each row into the PCG64 state
-that seeding would give, and loads it into one reused generator: the
-same stream, draw for draw.  The seed sequence pads short entropy with
-zeros, so ``(seed, i)`` equals ``(seed, i, 0)``: profile point i, chain
-point (i, ion 0) and switching ion-0 point i share their noise until the
-streams are keyed per experiment.
+Rather than build a ``SeedSequence`` per point, ``_readout`` runs the
+seed sequence's pool mixing over a block of points at once in uint32
+array arithmetic and seeds numpy's own ``PCG64`` with each point's four
+mixed words through :class:`_SeedWords`: the same stream, draw for
+draw.  The seed sequence pads short entropy with zeros, so ``(seed, i)``
+equals ``(seed, i, 0)``: profile point i, chain point (i, ion 0) and
+switching ion-0 point i share their noise until the streams are keyed
+per experiment.
 """
 
 import math
@@ -119,7 +119,7 @@ class ScanTrace:
         object.__setattr__(self, "values", v)
 
 
-# points seeded together by _readout; bounds the Python states held at once
+# points seeded together by _readout; bounds the seed-word rows held at once
 _READOUT_BLOCK = 192
 
 
@@ -134,12 +134,6 @@ def _readout(p, shots, seed, *key):
     out = np.empty(p.shape)
     flat_out = out.reshape(-1)
     head = [word for v in (seed, *key) for word in _uint32_words(v)]
-    # one reused generator; each point loads the PCG64 state its own seed
-    # sequence would give
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for start in range(0, p.size, _READOUT_BLOCK):
         flat = np.arange(start, min(start + _READOUT_BLOCK, p.size))
         # the uint32 words the seed sequence would make of (seed, *key, *index)
@@ -147,13 +141,27 @@ def _readout(p, shots, seed, *key):
         entropy[:, :len(head)] = head
         if p.ndim:
             entropy[:, len(head):] = np.column_stack(np.unravel_index(flat, p.shape))
-        draws = []
-        for (pcg["state"], pcg["inc"]), q in zip(_pcg64_states(_seed_state(entropy)),
-                                                 np.clip(p.flat[flat], 0.0, 1.0).tolist()):
-            bitgen.state = state
-            draws.append(rng.binomial(shots, q))
+        draws = [np.random.Generator(np.random.PCG64(_SeedWords(words))).binomial(shots, q)
+                 for words, q in zip(_seed_state(entropy),
+                                     np.clip(p.flat[flat], 0.0, 1.0).tolist())]
         flat_out[flat] = np.array(draws) / shots
     return out
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the four uint64 words its own
+    ``generate_state(4, np.uint64)`` call asks for, so numpy runs PCG64's
+    seeding on words :func:`_seed_state` already mixed.  ``words`` must be a
+    C-contiguous uint64 array of four: PCG64 reads its buffer as it is."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(
+                f"_SeedWords holds 4 np.uint64 words; asked for {n_words} of {dtype!r}")
+        return self.words
 
 
 def _uint32_words(n):
@@ -162,15 +170,13 @@ def _uint32_words(n):
     return [(n >> s) & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of four uint32 words)
-# and PCG64 seeding, run over a block of entropy rows at once; the uint32
-# array arithmetic wraps as the C code's does
+# numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of four uint32 words),
+# run over a block of entropy rows at once; the uint32 array arithmetic wraps
+# as the C code's does
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_chain(init, mult, count):
@@ -218,15 +224,6 @@ def _seed_state(entropy):
     xor, mult = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
     words = _hash(np.tile(pool, 2), xor, mult).astype(np.uint64)
     return words[:, 0::2] | words[:, 1::2] << 32
-
-
-def _pcg64_states(words):
-    """PCG64's ``(state, inc)`` after seeding with each row ``s0..s3`` of the
-    uint64 ``words`` (pcg_setseq_128_srandom_r: two LCG steps mod 2**128)."""
-    rows = words.tolist()
-    incs = [((s2 << 64 | s3) << 1 | 1) & _MASK128 for _, _, s2, s3 in rows]
-    return [((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc)
-            for (s0, s1, _, _), inc in zip(rows, incs)]
 
 
 def _check_scan(ion_waist, steering_efficiency, frequencies, center_frequency):
@@ -364,8 +361,8 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     Fits ``P1(f) = sin^2(0.5 T omega0 r(eff (f - fc); w))`` for
     ``(omega0, fc, w)`` with ``T = drive.duration``; the model is resonant,
     so a detuned drive raises :class:`ValidationError`.  Raises
-    :class:`FitFailureError` when the trace carries no signal or the
-    optimiser fails to converge.
+    :class:`FitFailureError` when the trace carries no signal, spans no
+    frequency or the optimiser fails to converge.
     """
     if trace.kind != "frequency":
         raise ValidationError("profile fit expects a frequency-scan trace")
@@ -376,6 +373,9 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
     peak = float(p1.max())
     if peak < 1e-3:
         raise FitFailureError("profile scan carries no signal above 1e-3")
+    span = float(np.ptp(freqs))  # the sweep may run up or down
+    if span == 0.0:
+        raise FitFailureError("profile scan has zero frequency span; no waist to fit")
 
     power = 2.0 if mode == "intensity" else 1.0
     f0_init = float(freqs[np.argmax(p1)])
@@ -403,7 +403,6 @@ def fit_gaussian_profile(trace, drive, steering_efficiency, mode="intensity"):
             d_rate * om0 * envelope * 2.0 * power * off**2 / w**3,
         ])
 
-    span = float(np.ptp(freqs))  # the sweep may run up or down
     fit = _least_squares(
         residuals, jacobian, [om_init, f0_init, w_init],
         lower=[1e-6 * om_init, freqs.min() - span, 1e-3 * w_init],

@@ -6,13 +6,14 @@ import os
 import shlex
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 import yaml
 
 from aodkit import addressing_analyzer, beam_optics
-from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main
+from aodkit.cli import OUTPUT_ENV_VAR, build_parser, main, svgplot
 from aodkit.cli.commands import HANDLERS, RunContext
 from aodkit.cli.config import parse_config
 from aodkit.cli.report import Plot, Table
@@ -94,6 +95,39 @@ def test_profile_scan_sweeps_either_way(tmp_path):
                  "--out", str(out)]) == 0
     res = _read_report(out, "lab_profile_scan")["results"]
     assert res["fitted_waist_um"] == pytest.approx(1.57, rel=0.05)
+
+
+def test_zero_span_profile_scan_is_a_fit_failure(tmp_path, capsys):
+    data = _reference_data()
+    data["experiments"]["profile_scan"].update(frequency_start_mhz=150.0,
+                                               frequency_stop_mhz=150.0)
+    out = tmp_path / "out"
+    assert main(["lab", "profile-scan", "--config", _write_config(tmp_path, data),
+                 "--out", str(out)]) == 1
+    assert "zero frequency span" in capsys.readouterr().err
+
+
+def test_crosstalk_plots_a_one_ion_chain(tmp_path):
+    # nothing positive for the log axis: the plot falls back to a fixed range
+    data = _reference_data()
+    data["chain"] = {"count": 1, "spacing_um": 3.8}
+    data["experiments"]["crosstalk"]["target_ion"] = 0
+    out = tmp_path / "out"
+    assert main(["crosstalk", "--config", _write_config(tmp_path, data),
+                 "--out", str(out)]) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert svgs
+    for svg in svgs:
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+@pytest.mark.parametrize("x, ys, ylog", [([], [], False), ([], [], True),
+                                         ([1.0, 2.0], [0.0, -1.0], True)],
+                         ids=["empty", "empty-log", "non-positive-log"])
+def test_line_plot_with_nothing_to_scale_writes_valid_svg(tmp_path, x, ys, ylog):
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(str(path), x, {"a": ys}, ylog=ylog)
+    assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_partial_tolerances_take_the_spec_defaults(tmp_path):
@@ -276,6 +310,14 @@ def test_non_finite_clipping_ratio_is_a_config_error(tmp_path, capsys, bad):
     cfg = _edited_config(tmp_path, "addressing", clipping_ratios=[0.6, bad])
     assert main(["crosstalk", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config.addressing.clipping_ratios[1]: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["crosstalk", "trace"])
+def test_empty_clipping_ratios_is_a_config_error(tmp_path, capsys, command):
+    cfg = _edited_config(tmp_path, "addressing", clipping_ratios=[])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config.addressing.clipping_ratios: must hold at least one ratio" in \
+        capsys.readouterr().err
 
 
 def test_chain_with_positions_and_count_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 from aodkit import addressing_analyzer as aa
 from aodkit import aod_model as am
 from aodkit import virtual_lab as vl
-from aodkit.errors import OutOfRangeError, UnbracketedMinimumError, ValidationError
+from aodkit.errors import (FitFailureError, OutOfRangeError, UnbracketedMinimumError,
+                           ValidationError)
 from test_validation import assert_rejected, rejection_cases
 
 SPEC = am.AodSpec(150e6, 100e6, 5700.0, 355e-9, 1.5e-3)
@@ -67,6 +68,18 @@ def test_profile_fit_takes_either_sweep_direction():
     assert up.waist == 1.569999999994717e-06
     for name in ("waist", "center_frequency", "peak_rabi"):
         assert getattr(down, name) == pytest.approx(getattr(up, name), rel=1e-12), name
+
+
+@pytest.mark.parametrize("shots", [None, 200])
+def test_profile_fit_rejects_zero_span(shots):
+    # every point sits at one frequency: the trace holds no width to fit, and
+    # the optimiser would stop on its waist floor rather than fail
+    drive = vl.RabiDrive.from_pi_time(2000e-9)
+    freqs = np.full(201, 150e6)
+    trace = vl.simulate_profile_scan(1.57e-6, STEERING_EFF, drive, freqs, 150e6,
+                                     shots=shots, seed=3)
+    with pytest.raises(FitFailureError, match="zero frequency span"):
+        vl.fit_gaussian_profile(trace, drive, STEERING_EFF)
 
 
 @pytest.mark.parametrize("detuning_mhz", [0.1, 0.3])
@@ -499,9 +512,8 @@ def test_readout_accepts_numpy_integers():
 
 def test_readout_working_set():
     # points go through in blocks of _READOUT_BLOCK: the peak is the output
-    # plus one block's entropy rows, seed words, Python PCG64 states and
-    # draws (2.3 x p.nbytes); the states of the whole trace in one Python
-    # list would reach about 57 x
+    # plus one block's entropy rows, seed words and draws (1.7 x p.nbytes);
+    # the whole trace as one block would reach about 23 x
     p = np.random.default_rng(5).random((401, 20))
     vl._readout(p[:2], 200, 3)  # warm-up outside the trace
     tracemalloc.start()
@@ -542,13 +554,23 @@ def test_readout_matches_tuple_keyed_draws(seed):
 @pytest.mark.parametrize("words", [[0], [7, 3], [1, 2, 3, 4], [0xFFFFFFFF] * 5,
                                    [5, 1, 2**31, 0, 9, 0, 4, 6]], ids=len)
 def test_vectorised_seeding_matches_numpy(words):
-    # guards the copied SeedSequence and PCG64 seeding constants: a change in
-    # numpy's seeding fails here by name rather than as a drifted draw
+    # guards the copied SeedSequence constants and the hand-over to PCG64: a
+    # change in numpy's seeding fails here by name rather than as a drifted draw
     seq = np.random.SeedSequence(words)
     seed_words = vl._seed_state(np.array([words], dtype=np.uint32))
     assert np.array_equal(seed_words[0], seq.generate_state(4, np.uint64))
-    (state, inc), = vl._pcg64_states(seed_words)
-    assert np.random.PCG64(seq).state["state"] == {"state": state, "inc": inc}
+    assert np.random.PCG64(vl._SeedWords(seed_words[0])).state == \
+        np.random.PCG64(seq).state
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (3, np.uint64), (8, np.uint64),
+                                            (624, np.uint32), (4, "uint64"), (4, np.int64)])
+def test_seed_words_refuse_any_other_request(n_words, dtype):
+    # PCG64 asks for exactly 4 np.uint64 words; anything else (SFC64 asks for
+    # 3 uint64, MT19937 for 624 uint32) raises rather than seed from the wrong words
+    words = vl._seed_state(np.array([[1, 2]], dtype=np.uint32))[0]
+    with pytest.raises(ValueError, match="4 np.uint64 words"):
+        vl._SeedWords(words).generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("build", rejection_cases("virtual_lab"))
