@@ -529,7 +529,8 @@ def cmd_lab_switching(ctx):
         "model": setup.model,
         "shots": setup.shots,
         "fitted_switch_time_ns": fit.switch_time / NS,
-        "fit_sigma_ns": fit.sigma / NS,
+        # a noiseless fit's sigma is rounding, so it is reported as null
+        "fit_sigma_ns": None if setup.shots is None else fit.sigma / NS,
         "grid_pitch_ns": float(extra[1] - extra[0]) / NS,
     }
     if setup.model == "pure_delay":

@@ -7,8 +7,9 @@ at this boundary so the library below never sees a unit suffix.
 Validation is strict and total: unknown keys, missing required fields,
 type and range problems, and the rules that tie two values together (a
 crosstalk target inside the chain, a switching sweep that ends after it
-starts) are all collected into one :class:`~aodkit.errors.ConfigError`
-listing every violation, whichever command runs.  Every mapping is read
+starts, a switch delay given for the pure-delay model and for it alone)
+are all collected into one :class:`~aodkit.errors.ConfigError` listing
+every violation, whichever command runs.  Every mapping is read
 through a :class:`_Section`; each optical-train entry is one, with its
 keys and constructor taken from the ``_ELEMENTS`` table.  Which sections
 a command needs is the command's own check.
@@ -144,7 +145,7 @@ class CrosstalkSetup:
 @dataclass(frozen=True)
 class SwitchingSetup:
     model: str  # pure_delay | transit_ramp | linear_ramp
-    switch_delay: float
+    switch_delay: float  # pure_delay only, else None
     settle_time: float
     pi2_time_ion0: float
     pi2_time_ion1: float
@@ -427,11 +428,12 @@ def _build_experiments(sec, chain):
 
     sw = sec.subsection("switching")
     if sw is not None:
+        model = sw.get("model", default="pure_delay", types=(str,),
+                       choices=("pure_delay", "transit_ramp", "linear_ramp"))
         switching = SwitchingSetup(
-            model=sw.get("model", default="pure_delay", types=(str,),
-                         choices=("pure_delay", "transit_ramp", "linear_ramp")),
-            switch_delay=sw.get("switch_delay_ns", default=0.0, check=non_negative,
-                                scale=NS),
+            model=model,
+            switch_delay=sw.get("switch_delay_ns", required=model == "pure_delay",
+                                check=non_negative, scale=NS),
             settle_time=sw.get("settle_time_ns", default=0.0, check=non_negative,
                                scale=NS),
             pi2_time_ion0=sw.get("pi2_time_ion0_ns", required=True, check=positive,
@@ -447,6 +449,9 @@ def _build_experiments(sec, chain):
             shots=sw.get("shots", types=(int,), check=positive),
         )
         sw.finish()
+        if model not in (None, "pure_delay") and switching.switch_delay is not None:
+            sec.violations.append(
+                f"{sw.path}.switch_delay_ns: only model pure_delay reads it, not {model}")
         if None not in (switching.extra_start, switching.extra_stop) \
                 and switching.extra_stop <= switching.extra_start:
             sec.violations.append(

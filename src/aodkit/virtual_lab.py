@@ -322,6 +322,12 @@ def _least_squares(residuals, jacobian, x0, lower, upper, scale):
     return _LsqFit(x, r, jac, cost, False)
 
 
+def _best_fit(residuals, jacobian, starts, lower, upper):
+    """Lowest-cost converged :func:`_least_squares` fit over ``(x0, scale)`` starts, or None."""
+    fits = [_least_squares(residuals, jacobian, x0, lower, upper, scale) for x0, scale in starts]
+    return min((fit for fit in fits if fit.success), key=lambda fit: fit.cost, default=None)
+
+
 # ---------------------------------------------------------------------------
 # Beam-profile scan
 # ---------------------------------------------------------------------------
@@ -541,15 +547,10 @@ def _fit_sinusoid(times, p1):
     n = times.size
     span = float(times[-1] - times[0])
     peak = float(p1.max())
-    # Frequency seed from the dominant spectral line, falling back to the
-    # quarter-oscillation growth rate when the grid resolves < 1 period.
-    detrended = p1 - p1.mean()
-    spectrum = np.abs(np.fft.rfft(detrended))
-    if spectrum.size > 1:
-        k = 1 + int(np.argmax(spectrum[1:]))
-        om_fft = 2.0 * math.pi * k * (n - 1) / (span * n)
-    else:
-        om_fft = math.pi / span
+    # Frequency starts: the dominant spectral line of the (>= 2-point) grid,
+    # and the quarter-oscillation growth rate for grids that resolve < 1 period.
+    k = 1 + int(np.argmax(np.abs(np.fft.rfft(p1 - p1.mean()))[1:]))
+    om_fft = 2.0 * math.pi * k * (n - 1) / (span * n)
     om_growth = _resonant_rate(peak, float(times[np.argmax(p1)] or span))
 
     def residuals(params):
@@ -561,17 +562,13 @@ def _fit_sinusoid(times, p1):
         return np.column_stack([0.5 * a * times * np.sin(om * times),
                                 np.sin(0.5 * om * times) ** 2])
 
-    best = None
-    for om0 in {om_fft, om_growth}:
-        if not (om0 > 0.0 and math.isfinite(om0)):
-            continue
-        fit = _least_squares(residuals, jacobian, [om0, max(peak, 0.1)],
-                             lower=[0.0, 0.0], upper=[np.inf, 1.05], scale=[om0, 1.0])
-        if fit.success and (best is None or fit.cost < best.cost):
-            best = fit
-    if best is None:
+    fit = _best_fit(residuals, jacobian,
+                    [([om0, max(peak, 0.1)], [om0, 1.0]) for om0 in {om_fft, om_growth}
+                     if om0 > 0.0 and math.isfinite(om0)],
+                    lower=[0.0, 0.0], upper=[np.inf, 1.05])
+    if fit is None:
         raise FitFailureError("sinusoid fit did not converge")
-    return float(best.x[0]), math.sqrt(max(best.covariance[0, 0], 0.0))
+    return float(fit.x[0]), math.sqrt(max(fit.covariance[0, 0], 0.0))
 
 
 BOUND_THRESHOLD = 0.5  # below this max P1 the quarter oscillation never happened
@@ -729,52 +726,55 @@ def simulate_switching_experiment(sequence, extra_times, shots=None, seed=None):
     p1 = np.column_stack([np.full(extra.shape, 0.5), np.sin(0.5 * phase) ** 2])
     p1_ion0, p1_ion1 = _readout(p1, shots, seed).T  # keyed (extra time, ion)
 
-    ion0 = ScanTrace(kind="extra_time", x=extra, values=p1_ion0, shots=shots)
-    ion1 = ScanTrace(kind="extra_time", x=extra, values=p1_ion1, shots=shots)
-    delta = ScanTrace(kind="extra_time", x=extra,
-                      values=np.abs(p1_ion0 - p1_ion1), shots=shots)
+    ion0, ion1, delta = (ScanTrace(kind="extra_time", x=extra, values=v, shots=shots)
+                         for v in (p1_ion0, p1_ion1, np.abs(p1_ion0 - p1_ion1)))
     return SwitchingResult(ion0=ion0, ion1=ion1, delta=delta)
 
 
 @dataclass(frozen=True)
 class SwitchTimeFit:
-    """Quadratic-vertex estimate of the switching dead time."""
+    """Fitted switching dead time and its 1-sigma (s); a noiseless trace's sigma is rounding."""
 
     switch_time: float
     sigma: float
 
 
-_FIT_HALF_WINDOW = 3
-
-
 def fit_switch_time(trace):
-    """Locate the dip of a |difference| trace by a local quadratic fit.
+    """Fit the switching dead time ``d`` of a |difference| trace.
 
-    The global minimum must be interior to the grid (bracketed); a
-    quadratic is fitted over up to seven surrounding points and its
-    vertex returned with a covariance-propagated 1-sigma uncertainty.
+    Once the drive after the hop is fully on, the trace is
+    ``0.5 |sin(omega (x - d))|``.  :func:`_least_squares` fits ``omega`` and
+    ``d`` to the whole trace from seven starts in ``d`` spread over the
+    sweep; ``sigma`` comes from :attr:`_LsqFit.covariance`.  Raises
+    :class:`FitFailureError` when the trace carries no signal or spans no
+    time or no start converges, and :class:`UnbracketedMinimumError` when
+    ``d`` falls outside the sweep.
     """
     x, y = trace.x, trace.values
-    n = x.size
-    i_min = int(np.argmin(y))
-    if i_min == 0 or i_min == n - 1:
-        raise UnbracketedMinimumError(
-            f"trace minimum sits at grid edge (index {i_min}); extend the sweep")
-    lo = max(0, i_min - _FIT_HALF_WINDOW)
-    hi = min(n, i_min + _FIT_HALF_WINDOW + 1)
-    if hi - lo < 5:
-        raise UnbracketedMinimumError("too few points around the minimum for a quadratic fit")
+    lo, hi, peak = float(x.min()), float(x.max()), float(y.max())
+    if peak < 1e-3 or hi == lo:
+        raise FitFailureError("switching trace carries no signal above 1e-3 or spans no time")
 
-    # Normalised abscissa keeps the Vandermonde system well conditioned
-    # for nanosecond-scale grids expressed in seconds.
-    t0 = float(x[i_min])
-    dx = float(np.mean(np.diff(x[lo:hi])))
-    u = (x[lo:hi] - t0) / dx
-    coeffs, cov = np.polyfit(u, y[lo:hi], 2, cov=True)
-    a, b = float(coeffs[0]), float(coeffs[1])
-    if a <= 0.0:
-        raise UnbracketedMinimumError("no upward curvature around the minimum")
-    vertex = -b / (2.0 * a)
-    grad = np.array([b / (2.0 * a * a), -1.0 / (2.0 * a)])
-    var = float(grad @ cov[:2, :2] @ grad)
-    return SwitchTimeFit(t0 + vertex * dx, math.sqrt(max(var, 0.0)) * dx)
+    def residuals(params):
+        om, d = params
+        return 0.5 * np.abs(np.sin(om * (x - d))) - y
+
+    def jacobian(params):
+        om, d = params
+        u = x - d
+        slope = 0.5 * np.sign(np.sin(om * u)) * np.cos(om * u)
+        return np.column_stack([slope * u, -slope * om])
+
+    # om0 lifts the trace to its peak over the sweep; a boxed d halves the cost of a free d
+    span = hi - lo
+    om0 = math.asin(min(2.0 * peak, 1.0)) / span
+    starts = [([om0, d0], [om0, span]) for d0 in np.linspace(lo, hi, 7)]
+    fit = _best_fit(residuals, jacobian, starts,
+                    lower=[1e-3 * om0, lo - span], upper=[10.0 * om0, hi + span])
+    if fit is None:
+        raise FitFailureError("switching fit did not converge")
+    d = float(fit.x[1])
+    if not lo <= d <= hi:
+        raise UnbracketedMinimumError(
+            f"the dead time fits outside the sweep [{lo:.4g}, {hi:.4g}] s; extend the sweep")
+    return SwitchTimeFit(d, math.sqrt(max(fit.covariance[1, 1], 0.0)))

@@ -339,6 +339,9 @@ def test_bad_chain_positions_are_reported_per_entry(tmp_path, capsys):
 TARGET_OUTSIDE = "config.experiments.crosstalk.target_ion: 30 but the chain holds 30 ions"
 EMPTY_SWEEP = ("config.experiments.switching: extra_time_stop_ns must exceed "
                "extra_time_start_ns")
+DELAY_MISSING = "config.experiments.switching.switch_delay_ns: required field is missing"
+DELAY_UNREAD = ("config.experiments.switching.switch_delay_ns: only model pure_delay "
+                "reads it, not transit_ramp")
 
 
 @pytest.mark.parametrize("command", [["lab", "crosstalk"], ["lab", "switching"], ["trace"]],
@@ -347,7 +350,10 @@ EMPTY_SWEEP = ("config.experiments.switching: extra_time_stop_ns must exceed "
     ("crosstalk", {"target_ion": 30}, TARGET_OUTSIDE),
     ("switching", {"extra_time_start_ns": 900.0}, EMPTY_SWEEP),
     ("switching", {"extra_time_start_ns": 500.0, "extra_time_stop_ns": 400.0}, EMPTY_SWEEP),
-], ids=["target-outside", "stop-at-start", "stop-before-start"])
+    ("switching", {"model": "pure_delay"}, DELAY_MISSING),
+    ("switching", {"switch_delay_ns": 238.0}, DELAY_UNREAD),
+], ids=["target-outside", "stop-at-start", "stop-before-start", "delay-missing",
+        "delay-unread"])
 def test_experiment_value_rule_fails_every_command(tmp_path, capsys, command, experiment,
                                                    values, violation):
     data = _reference_data()
@@ -366,6 +372,23 @@ def test_experiment_value_rules_accept_the_edge(tmp_path):
     exps = parse_config(_write_config(tmp_path, data)).experiments
     assert exps.crosstalk.target_ion == 29
     assert exps.switching.extra_stop > exps.switching.extra_start
+
+
+@pytest.mark.parametrize("shots", [None, 200])
+def test_lab_switching_pure_delay_reports_the_injected_delay(tmp_path, shots):
+    data = _reference_data()
+    data["experiments"]["switching"].update(model="pure_delay", switch_delay_ns=238.0,
+                                            shots=shots)
+    assert main(["lab", "switching", "--config", _write_config(tmp_path, data),
+                 "--out", str(tmp_path)]) == 0
+    results = _read_report(tmp_path, "lab_switching")["results"]
+    assert results["injected_delay_ns"] == 238.0
+    if shots is None:
+        # the exact model fits a noiseless sweep to rounding: no sigma
+        assert results["fitted_switch_time_ns"] == pytest.approx(238.0, rel=1e-9)
+        assert results["fit_sigma_ns"] is None
+    else:
+        assert abs(results["fitted_switch_time_ns"] - 238.0) < 3.0 * results["fit_sigma_ns"]
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])

@@ -222,13 +222,21 @@ def test_isfinite_only_in_the_shared_checks():
     assert calls <= ISFINITE_ALLOWED, sorted(calls - ISFINITE_ALLOWED)
 
 
+def _package_attributes():
+    """(file name, node) of every attribute access in the package."""
+    for path in sorted(Path(aodkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                yield path.name, node
+
+
 def test_one_matrix_inverse_in_the_package():
     # the covariance rule has one home: the least-squares result record
-    package = Path(aodkit.__file__).parent
-    found = []
-    for path in sorted(package.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr == "inv"
-                    and getattr(node.value, "attr", None) == "linalg"):
-                found.append(path.name)
+    found = [name for name, node in _package_attributes()
+             if node.attr == "inv" and getattr(node.value, "attr", None) == "linalg"]
     assert found == ["virtual_lab.py"]
+
+
+def test_no_polyfit_in_the_package():
+    # every lab fit goes through the one least-squares solver
+    assert [name for name, node in _package_attributes() if node.attr == "polyfit"] == []

@@ -18,9 +18,9 @@ EXTRA_GRID = np.linspace(0.0, 900e-9, 181)
 # frozen closed-form value for (Omega, delta, t) = (2 pi 0.25 MHz, 2 pi 0.1 MHz, 3.3 us)
 DETUNED_P1 = 0.10142978495487255
 # frozen fits on the 181-point sweep above
-PURE_DELAY_238NS_FIT = 2.383928891862086e-07
-TRANSIT_RAMP_TSTAR = 3.4463031409045175e-07
-LINEAR_RAMP_TSTAR = 3.4169807982872313e-07
+PURE_DELAY_238NS_FIT = 2.3800000000000007e-07
+TRANSIT_RAMP_TSTAR = 3.4451504234485594e-07
+LINEAR_RAMP_TSTAR = 3.421052631578948e-07
 
 
 def test_rabi_drive_pi_time_round_trip():
@@ -375,18 +375,17 @@ def test_switching_pure_delay_round_trip():
     assert np.allclose(res.ion0.values, 0.5)
     fit = vl.fit_switch_time(res.delta)
     assert fit.switch_time == pytest.approx(PURE_DELAY_238NS_FIT, rel=1e-9)
-    pitch = EXTRA_GRID[1] - EXTRA_GRID[0]
-    assert abs(fit.switch_time - 238e-9) < pitch
+    assert fit.switch_time == pytest.approx(238e-9, rel=1e-9)
 
 
 def test_switching_pure_delay_any_injected_value():
+    # the model fit is exact for a pure delay, wherever the dip falls
     rng = np.random.default_rng(3)
-    pitch = EXTRA_GRID[1] - EXTRA_GRID[0]
     for _ in range(12):
         ts = rng.uniform(60e-9, 520e-9)
         seq = vl.SwitchSequence(1750e-9, 1740e-9, vl.PureDelay(ts))
         fit = vl.fit_switch_time(vl.simulate_switching_experiment(seq, EXTRA_GRID).delta)
-        assert abs(fit.switch_time - ts) < pitch
+        assert fit.switch_time == pytest.approx(ts, rel=1e-9)
 
 
 def test_switching_transit_ramp_frozen():
@@ -399,6 +398,39 @@ def test_switching_transit_ramp_frozen():
     linear = vl.SwitchSequence(1750e-9, 1740e-9, vl.TransitRamp(SPEC, kind="linear"))
     lfit = vl.fit_switch_time(vl.simulate_switching_experiment(linear, EXTRA_GRID).delta)
     assert lfit.switch_time == pytest.approx(LINEAR_RAMP_TSTAR, rel=1e-9)
+    # after a linear ramp the drive is a pure delay of 1.3 w / V
+    assert lfit.switch_time == pytest.approx(am.theoretical_switch_time(SPEC), rel=1e-12)
+
+
+@pytest.mark.parametrize("shots", [200, 1000])
+@pytest.mark.parametrize("kind", ["field_overlap", "linear"])
+def test_switching_fit_on_noisy_sweeps(kind, shots):
+    # every seeded sweep fits inside the window; the scatter follows the
+    # shot noise and centres on the noiseless fit
+    seq = vl.SwitchSequence(1750e-9, 1740e-9, vl.TransitRamp(SPEC, kind=kind))
+    clean = vl.fit_switch_time(vl.simulate_switching_experiment(seq, EXTRA_GRID).delta)
+    fits = np.array([vl.fit_switch_time(vl.simulate_switching_experiment(
+        seq, EXTRA_GRID, shots=shots, seed=seed).delta).switch_time for seed in range(50)])
+    assert ((fits > 200e-9) & (fits < 450e-9)).all()
+    assert fits.std() < 220e-9 / math.sqrt(shots)
+    assert abs(fits.mean() - clean.switch_time) < 3.0 * fits.std() / math.sqrt(fits.size)
+
+
+def test_switching_fit_with_a_low_first_sample():
+    # shot noise pulls the first sample of this sweep to the trace minimum
+    # (0.005); the fit still finds the dip inside the sweep
+    seq = vl.SwitchSequence(1750e-9, 1740e-9, vl.TransitRamp(SPEC, kind="linear"))
+    delta = vl.simulate_switching_experiment(seq, EXTRA_GRID, shots=200, seed=2064038317).delta
+    assert np.argmin(delta.values) == 0
+    fit = vl.fit_switch_time(delta)
+    assert fit.switch_time == pytest.approx(338.311e-9, abs=0.01e-9)
+    assert abs(fit.switch_time - LINEAR_RAMP_TSTAR) < fit.sigma < 10e-9
+
+
+def test_fit_switch_time_rejects_a_trace_without_signal():
+    flat = vl.ScanTrace("extra_time", EXTRA_GRID, np.zeros(EXTRA_GRID.size))
+    with pytest.raises(FitFailureError):
+        vl.fit_switch_time(flat)
 
 
 def test_switching_noise_determinism():
